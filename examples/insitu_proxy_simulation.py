@@ -96,6 +96,7 @@ def build_actions(variable: str, renderer: str, cycle: int, prefix: str) -> Cond
 
 def run_in_situ(name: str, simulation, describe, renderer: str) -> None:
     """Advance a proxy and render every cycle through Strawman."""
+    records = []  # close() releases Strawman's own history
     # [strawman-api]
     strawman = Strawman()
     options = StrawmanOptions(num_ranks=1, output_directory="insitu_output")
@@ -103,15 +104,15 @@ def run_in_situ(name: str, simulation, describe, renderer: str) -> None:
     for _ in range(CYCLES):
         simulation.advance(1)
         strawman.publish(describe(simulation))
-        record = strawman.execute(build_actions(simulation.primary_field, renderer, simulation.cycle, name))
+        records.append(strawman.execute(build_actions(simulation.primary_field, renderer, simulation.cycle, name)))
     strawman.close()
     # [end]
     print(
         f"{name:<11} {CYCLES} cycles: "
         f"sim {simulation.total_step_seconds:.3f}s, "
-        f"vis {sum(r.total_seconds for r in strawman.history) if strawman.history else record.total_seconds:.3f}s, "
-        f"compositing {sum(r.bytes_exchanged for r in strawman.history) / 1e6:.2f} MB exchanged, "
-        f"last image {record.saved_files[-1]}"
+        f"vis {sum(r.total_seconds for r in records):.3f}s, "
+        f"compositing {sum(r.bytes_exchanged for r in records) / 1e6:.2f} MB exchanged, "
+        f"last image {records[-1].saved_files[-1]}"
     )
 
 

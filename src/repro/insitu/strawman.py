@@ -145,8 +145,9 @@ class Strawman:
         self.history.clear()
 
     def close(self) -> None:
-        """Release published data."""
+        """Release published data and the execution history (it pins every frame)."""
         self._published.clear()
+        self.history.clear()
         self._options = None
 
     # -- data publication ---------------------------------------------------------------

@@ -54,11 +54,16 @@ class TransferFunction:
             raise ValueError("unit_distance must be positive")
         self.unit_distance = float(unit_distance)
 
-    def normalize(self, scalars: np.ndarray) -> np.ndarray:
-        """Normalize raw scalars against the configured (or data) range."""
-        if self.scalar_range is None:
+    def normalize(self, scalars: np.ndarray, data_range: tuple[float, float] | None = None) -> np.ndarray:
+        """Normalize raw scalars against the configured range.
+
+        Without a configured range, ``data_range`` is used, and without that
+        the scalars' own extremes.
+        """
+        scalar_range = self.scalar_range if self.scalar_range is not None else data_range
+        if scalar_range is None:
             return normalize_scalars(scalars)
-        return normalize_scalars(scalars, self.scalar_range[0], self.scalar_range[1])
+        return normalize_scalars(scalars, scalar_range[0], scalar_range[1])
 
     def opacity(self, normalized: np.ndarray, step_length: float | None = None) -> np.ndarray:
         """Opacity for normalized values, optionally corrected for sample spacing."""
@@ -73,8 +78,14 @@ class TransferFunction:
         return self.color_table.map(normalized)
 
     def sample(
-        self, scalars: np.ndarray, step_length: float | None = None
+        self,
+        scalars: np.ndarray,
+        step_length: float | None = None,
+        data_range: tuple[float, float] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Map raw scalars to ``(rgb, alpha)`` with optional opacity correction."""
-        normalized = self.normalize(scalars)
+        """Map raw scalars to ``(rgb, alpha)`` with optional opacity correction.
+
+        ``data_range`` is passed to :meth:`normalize`.
+        """
+        normalized = self.normalize(scalars, data_range)
         return self.color(normalized), self.opacity(normalized, step_length)

@@ -1,9 +1,9 @@
 """Unstructured (tetrahedral) volume renderer via multi-pass sampling (Chapter III).
 
-The algorithm populates a ``width x height x samples`` buffer of scalar
-samples and composites it in depth.  To bound memory it can split the sample
-buffer into multiple passes over depth; each pass runs four phases built from
-data-parallel primitives exactly as Algorithm 2 of the dissertation describes:
+The algorithm samples a ``width x height x samples`` grid of scalar samples
+and composites it in depth.  To bound memory it can split the depth range
+into multiple passes; each pass runs four phases built from data-parallel
+primitives as Algorithm 2 of the dissertation describes:
 
 1. **Pass selection** -- map a threshold over the per-tet depth ranges, reduce
    to count the active tets, exclusive-scan + reverse-index + gather to build
@@ -12,11 +12,16 @@ data-parallel primitives exactly as Algorithm 2 of the dissertation describes:
    the camera transform.
 3. **Sampling** -- for every active tet, visit the (pixel, depth-slot) samples
    inside its screen-space bounding box, run an inside test via barycentric
-   coordinates, and write interpolated scalars into the sample buffer.  The
-   sampler consults the per-pixel *lane residency* so fully opaque pixels stop
-   generating work (the analogue of early ray termination).
-4. **Compositing** -- map over the resident pixels' sample rows front to back,
-   accumulating color and opacity per pixel.
+   coordinates, and keep the interpolated scalars.  The sampler consults the
+   per-pixel *lane residency* so fully opaque pixels stop generating work
+   (the analogue of early ray termination).
+4. **Compositing** -- walk the resolved fragment list, which is sorted by
+   pixel and then depth slot, and accumulate color and opacity per pixel
+   front to back.  Batches of covered pixels are packed into small
+   ``(pixels x longest run)`` blocks; the dense ``pixels x slots`` buffer of
+   Algorithm 2 is never built, so memory is O(samples), not
+   O(pixels x slots).  Only :meth:`UnstructuredVolumeRenderer.render_reference`
+   still fills and composites the dense buffer.
 
 An initialization step (run once) computes the per-tet depth ranges used by
 pass selection.
@@ -24,9 +29,8 @@ pass selection.
 Since the frontier refactor the per-pixel accumulation runs on the shared
 :class:`repro.dpp.FrontierEngine`: every pixel is a lane carrying its RGBA
 accumulators, one engine step executes one pass, and a pixel crossing the
-early-termination opacity *retires* -- the engine compacts it out, later
-passes' samplers skip it via the residency mask, and later compositing never
-touches its row.
+early-termination opacity *retires* -- the engine compacts it out and later
+passes' samplers skip it via the residency mask.
 
 **Fragment-sorted sampling** (the fast path behind :meth:`render`) replaces
 the seed sampler's dense candidate enumeration.  The seed loop visited every
@@ -36,13 +40,13 @@ fragment formulation (the HAVS-style competitor of the paper's Figure 6)
 enumerates only the 2D pixel columns, intersects each column with the tet's
 four inward face planes (:func:`repro.geometry.tetra.tet_face_planes`) to get
 the analytic entry/exit slot span, emits one fragment per (pixel, slot, tet)
-in the span, and resolves fragment collisions per sample-buffer cell with one
-combined sort + :func:`~repro.dpp.primitives.segmented_argmin` -- the same
-machinery the sort-last compositor uses.  The span is conservative (a slack
-proportional to the face clearance covers float rounding and the reference's
-``-1e-9`` barycentric tolerance) and every surviving fragment re-runs the
-reference's *exact* inside test, so the fast path reproduces the seed
-sampler's accepted-sample set -- and therefore its image -- bit for bit.
+in the span, and resolves fragment collisions per sample cell with one
+combined sort whose groups keep their highest-ordered tet.  The span is
+conservative (a slack proportional to the face clearance covers float
+rounding and the reference's ``-1e-9`` barycentric tolerance) and every
+surviving fragment re-runs the reference's *exact* inside test, so the fast
+path reproduces the seed sampler's accepted-sample set -- and therefore its
+image -- bit for bit.
 :meth:`UnstructuredVolumeRenderer.render_reference` keeps the pre-frontier
 full-width loop with the seed sampler as the differential reference.
 """
@@ -62,7 +66,6 @@ from repro.dpp.primitives import (
     reduce_field,
     reverse_index,
     scatter,
-    segmented_argmin,
 )
 from repro.geometry.mesh import UnstructuredTetMesh
 from repro.geometry.tetra import tet_face_planes
@@ -117,6 +120,11 @@ class UnstructuredVolumeConfig:
 #: magnitude to spare while staying far below one depth slot.
 _SPAN_SLACK = 1e-6
 
+#: Pixel columns, span fragments or composited samples per vectorized batch of
+#: the fast path.  Each costs a few hundred bytes of temporaries, so batches
+#: stay at a few MB whatever the image size and depth resolution.
+_SAMPLE_BATCH = 1 << 14
+
 
 @dataclass
 class _PreparedTets:
@@ -141,8 +149,8 @@ class _TetPassKernel:
     """One engine step per sampling pass over the depth-slot range.
 
     Lanes are pixels; the kernel runs the pass-selection, screen-space, and
-    sampling phases full-width (they are object-order), gathers the resident
-    pixels' sample rows, and composites them into the lane accumulators.
+    sampling phases full-width (they are object-order), then composites the
+    sampler's resolved fragments into the covered pixels' lane accumulators.
     Early ray termination is lane retirement: the engine compacts opaque
     pixels away and the sampler's residency mask stops generating candidate
     samples for them.
@@ -203,8 +211,7 @@ class _TetPassKernel:
             # pixels still resident (and not retired) receive samples.
             open_mask = np.zeros(self.num_pixels, dtype=bool)
             open_mask[lanes.lane_ids[~lanes.retired]] = True
-            sample_scalar = np.full((self.num_pixels, last_slot - first_slot), np.nan)
-            renderer._sample_pass(
+            cells, values = renderer._sample_pass(
                 self.camera,
                 vertices,
                 active_scalars,
@@ -212,23 +219,84 @@ class _TetPassKernel:
                 active_heights,
                 first_slot,
                 last_slot,
-                sample_scalar,
                 open_mask,
             )
         self.phases["sampling"] += timer.elapsed
 
         with Timer() as timer, InstrumentationScope("volume.compositing"):
-            rows = gather(sample_scalar, lanes.lane_ids)
-            self.samples_with_data += int(np.count_nonzero(~np.isnan(rows)))
-            live = ~lanes.retired
-            renderer._composite_rows(
-                rows, lanes["accum_rgb"], accum_alpha, self.prepared.step_length, live
-            )
+            self.samples_with_data += len(cells)
+            if len(cells):
+                self._composite_fragments(lanes, cells, values, last_slot - first_slot)
         self.phases["compositing"] += timer.elapsed
 
         if final_pass:
             return np.ones(len(lanes), dtype=bool)
         return accum_alpha >= config.early_termination_alpha
+
+    def _composite_fragments(
+        self, lanes: FrontierLanes, cells: np.ndarray, values: np.ndarray, slots: int
+    ) -> None:
+        """Composite one pass's resolved samples straight into the lane accumulators.
+
+        ``cells`` (``pixel * slots + slot``, ascending) group the samples by
+        pixel in front-to-back order.  Batches of covered pixels are packed
+        left-justified into ``(pixels x longest run)`` blocks padded with NaN,
+        so the transfer function, ``cumprod`` and ``einsum`` touch only real
+        samples.  The result is bit-identical to compositing the dense
+        ``pixels x slots`` buffer: an empty cell contributes ``x 1.0`` to the
+        transparency product and ``+ 0.0`` to the color sum.
+        """
+        pixel = cells // slots
+        new_pixel = np.ones(len(pixel), dtype=bool)
+        new_pixel[1:] = pixel[1:] != pixel[:-1]
+        starts = np.flatnonzero(new_pixel)
+        run_length = np.diff(np.append(starts, len(pixel)))
+        column = segment_local_indices(run_length)
+
+        # The engine's compaction preserves lane order, so lane ids stay
+        # ascending and a binary search finds each covered pixel's lane.
+        lane = np.searchsorted(lanes.lane_ids, pixel[starts])
+        accum_rgb = lanes["accum_rgb"]
+        accum_alpha = lanes["accum_alpha"]
+        covered_rgb = gather(accum_rgb, lane)
+        covered_alpha = gather(accum_alpha, lane)
+        data_range = self._data_range(values, slots)
+        for first, last in chunk_ranges(run_length, _SAMPLE_BATCH):
+            runs = run_length[first:last]
+            width = int(runs.max())
+            block = np.full((last - first, width), np.nan)
+            lo = starts[first]
+            hi = lo + int(runs.sum())
+            row = np.repeat(np.arange(last - first, dtype=np.int64), runs)
+            scatter(values[lo:hi], row * width + column[lo:hi], block.reshape(-1))
+            self.renderer._composite_rows(
+                block,
+                covered_rgb[first:last],
+                covered_alpha[first:last],
+                self.prepared.step_length,
+                data_range,
+            )
+        # The dense path updates every live lane's opacity as
+        # ``1 - (1 - alpha) * 1.0`` even when the lane got no sample;
+        # riders (retired, not yet compacted) stay frozen.
+        live = ~lanes.retired
+        accum_alpha[live] = 1.0 - (1.0 - accum_alpha[live])
+        scatter(covered_rgb, lane, accum_rgb)
+        scatter(covered_alpha, lane, accum_alpha)
+
+    def _data_range(self, values: np.ndarray, slots: int) -> tuple[float, float] | None:
+        """Scalar range the dense ``pixels x slots`` buffer would have had.
+
+        Only consulted when the transfer function has no fixed range: the
+        dense path normalizes against its buffer's own extremes, and its
+        ``0.0`` fill for empty cells enters them whenever any cell is empty.
+        """
+        if self.renderer.transfer_function.scalar_range is not None:
+            return None
+        lo, hi = float(values.min()), float(values.max())
+        if len(values) < self.num_pixels * slots:
+            lo, hi = min(lo, 0.0), max(hi, 0.0)
+        return lo, hi
 
 
 @dataclass
@@ -404,9 +472,7 @@ class UnstructuredVolumeRenderer:
 
             with Timer() as timer:
                 samples_with_data += int(np.count_nonzero(~np.isnan(sample_scalar)))
-                self._composite_rows(
-                    sample_scalar, accum_rgb, accum_alpha, prepared.step_length, None
-                )
+                self._composite_rows(sample_scalar, accum_rgb, accum_alpha, prepared.step_length)
             phases["compositing"] += timer.elapsed
 
         features.active_pixels = int(np.count_nonzero(accum_alpha > 0.0))
@@ -462,21 +528,23 @@ class UnstructuredVolumeRenderer:
         face_heights: np.ndarray,
         first_slot: int,
         last_slot: int,
-        sample_scalar: np.ndarray,
         open_mask: np.ndarray,
-    ) -> int:
-        """Fragment-sorted sampler: fill the pass's sample buffer.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fragment-sorted sampler: the pass's accepted samples.
 
         Enumerates only the 2D pixel columns of each active tet's clipped
         screen box, computes the analytic slot span of every surviving column
         from the tet's inward face planes, emits one fragment per in-span
         (pixel, slot) candidate, re-runs the exact barycentric inside test on
         the fragments, and resolves per-cell collisions with one combined
-        sort + segmented argmin over the whole pass.  Returns the number of
-        candidates visited (pixel columns plus span fragments).
+        sort over the whole pass.
 
-        ``open_mask`` flags the pixels still accepting samples (resident,
-        non-opaque lanes on the engine path).
+        Returns ``(cell, value)`` of the winning sample per cell, where
+        ``cell = pixel * (last_slot - first_slot) + (slot - first_slot)``
+        indexes the pass's (never materialized) dense sample buffer.  Cells
+        are ascending, so the samples are grouped by pixel in front-to-back
+        order.  ``open_mask`` flags the pixels still accepting samples
+        (resident, non-opaque lanes on the engine path).
         """
         config = self.config
         width, height = camera.width, camera.height
@@ -484,14 +552,11 @@ class UnstructuredVolumeRenderer:
         lo_xy, _hi_xy, box_w, box_h = self._screen_boxes(vertices, width, height)
 
         columns = box_w * box_h * valid
-        if int(columns.sum()) == 0:
-            return 0
         order = np.flatnonzero(columns > 0)
-        visited = 0
-        fragments: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for start, end in chunk_ranges(columns[order], config.pair_chunk):
+        fragments: list[tuple[np.ndarray, np.ndarray]] = []
+        for start, end in chunk_ranges(columns[order], min(config.pair_chunk, _SAMPLE_BATCH)):
             chunk = order[start:end]
-            visited += self._fragment_chunk(
+            self._fragment_chunk(
                 chunk,
                 lo_xy,
                 box_w,
@@ -503,14 +568,16 @@ class UnstructuredVolumeRenderer:
                 face_heights,
                 first_slot,
                 last_slot,
-                sample_scalar.shape[1],
                 open_mask,
                 fragments,
                 image_width=width,
             )
-        if fragments:
-            self._resolve_fragments(fragments, len(vertices), sample_scalar)
-        return visited
+        if not fragments:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        keys = np.concatenate([key for key, _ in fragments])
+        values = np.concatenate([value for _, value in fragments])
+        fragments.clear()  # free the per-batch parts before the sort
+        return self._resolve_fragments(keys, values, len(vertices))
 
     def _fragment_chunk(
         self,
@@ -525,16 +592,13 @@ class UnstructuredVolumeRenderer:
         face_heights: np.ndarray,
         first_slot: int,
         last_slot: int,
-        slots_per_row: int,
         open_mask: np.ndarray,
         fragments: list,
         *,
         image_width: int,
-    ) -> int:
-        """Emit the surviving (cell index, tet order, scalar) fragments of one chunk."""
+    ) -> None:
+        """Emit the surviving fragments of one chunk as ``(cell * num_tets + tet order, scalar)``."""
         counts = box_w[chunk] * box_h[chunk]
-        if counts.sum() == 0:
-            return 0
         tet_of_pair = np.repeat(np.arange(len(chunk)), counts)
         local = segment_local_indices(counts)
         w_rep = np.repeat(box_w[chunk], counts)
@@ -544,13 +608,12 @@ class UnstructuredVolumeRenderer:
         px = lo_xy[tids, 0] + dx
         py = lo_xy[tids, 1] + dy
         pixel_flat = py * image_width + px
-        visited = int(len(pixel_flat))
 
         # Early termination: drop columns on already-opaque pixels (a gather
         # through the dpp choke point, counted as sampling work).
         open_pixel = gather(open_mask, pixel_flat)
         if not np.any(open_pixel):
-            return visited
+            return
         tids = tids[open_pixel]
         px, py, pixel_flat = px[open_pixel], py[open_pixel], pixel_flat[open_pixel]
 
@@ -569,7 +632,7 @@ class UnstructuredVolumeRenderer:
         )
         has_span = slot_count > 0
         if not np.any(has_span):
-            return visited
+            return
         tids = tids[has_span]
         px, py, pixel_flat = px[has_span], py[has_span], pixel_flat[has_span]
         slot_start, slot_count = slot_start[has_span], slot_count[has_span]
@@ -578,29 +641,28 @@ class UnstructuredVolumeRenderer:
         # reference sampler's exact inside test so the accepted set -- and
         # with it the image -- matches the brute-force enumeration bit for
         # bit (the span is conservative, never exact).
-        column_of = np.repeat(np.arange(len(tids)), slot_count)
-        slot = slot_start[column_of] + segment_local_indices(slot_count)
-        visited += int(len(slot))
-        tids = tids[column_of]
-        pixel_flat = pixel_flat[column_of]
-        sample_position = np.column_stack([px[column_of] + 0.5, py[column_of] + 0.5, slot + 0.5])
-        offset = sample_position - v0[tids]
-        barycentric = np.einsum("nij,nj->ni", inverse[tids], offset)
-        b0 = 1.0 - barycentric.sum(axis=1)
-        inside = (barycentric >= -1e-9).all(axis=1) & (b0 >= -1e-9)
-        if not np.any(inside):
-            return visited
-        tids = tids[inside]
-        barycentric = barycentric[inside]
-        values = (
-            b0[inside] * tet_scalars[tids, 0]
-            + barycentric[:, 0] * tet_scalars[tids, 1]
-            + barycentric[:, 1] * tet_scalars[tids, 2]
-            + barycentric[:, 2] * tet_scalars[tids, 3]
-        )
-        cell = pixel_flat[inside] * slots_per_row + (slot[inside] - first_slot)
-        fragments.append((cell, tids, values))
-        return visited
+        for first, last in chunk_ranges(slot_count, _SAMPLE_BATCH):
+            spans = slot_count[first:last]
+            column_of = first + np.repeat(np.arange(last - first), spans)
+            slot = slot_start[column_of] + segment_local_indices(spans)
+            batch_tids = tids[column_of]
+            sample_position = np.column_stack([px[column_of] + 0.5, py[column_of] + 0.5, slot + 0.5])
+            offset = sample_position - v0[batch_tids]
+            barycentric = np.einsum("nij,nj->ni", inverse[batch_tids], offset)
+            b0 = 1.0 - barycentric.sum(axis=1)
+            inside = (barycentric >= -1e-9).all(axis=1) & (b0 >= -1e-9)
+            if not np.any(inside):
+                continue
+            batch_tids = batch_tids[inside]
+            barycentric = barycentric[inside]
+            values = (
+                b0[inside] * tet_scalars[batch_tids, 0]
+                + barycentric[:, 0] * tet_scalars[batch_tids, 1]
+                + barycentric[:, 1] * tet_scalars[batch_tids, 2]
+                + barycentric[:, 2] * tet_scalars[batch_tids, 3]
+            )
+            cell = pixel_flat[column_of[inside]] * (last_slot - first_slot) + (slot[inside] - first_slot)
+            fragments.append((cell * len(v0) + batch_tids, values))
 
     @staticmethod
     def _column_spans(
@@ -638,34 +700,25 @@ class UnstructuredVolumeRenderer:
         count = np.where(dead, 0, np.maximum(stop - start + 1, 0))
         return start, count
 
+    @staticmethod
     def _resolve_fragments(
-        self, fragments: list, num_tets: int, sample_scalar: np.ndarray
-    ) -> None:
+        keys: np.ndarray, values: np.ndarray, num_tets: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic collision resolution over one pass's fragments.
 
-        One combined sort on ``cell * num_tets + tet order`` groups the
-        fragments of every sample-buffer cell contiguously (the key is unique,
-        so the unstable argsort is deterministic), and a segmented argmin
-        keeps the highest-ordered tet per cell -- the same winner the
-        reference loop's in-order overwrite produces -- independent of how
-        ``pair_chunk`` split the work.  The winners scatter into the buffer.
+        One sort on the key ``cell * num_tets + tet order`` groups the
+        fragments of every sample-buffer cell contiguously in tet order (the
+        key is unique, so the unstable argsort is deterministic).  The last
+        fragment of each group, the highest-ordered tet, wins -- the same
+        winner the reference loop's in-order overwrite produces -- however
+        ``pair_chunk`` split the work.  Returns the ascending winning cells
+        and their scalars.
         """
-        cell = np.concatenate([f[0] for f in fragments])
-        tet_order = np.concatenate([f[1] for f in fragments])
-        values = np.concatenate([f[2] for f in fragments])
-        sort_key = cell * np.int64(num_tets) + tet_order
-        order = np.argsort(sort_key)
-        cell_sorted = cell[order]
-        new_cell = np.ones(len(order), dtype=bool)
-        new_cell[1:] = cell_sorted[1:] != cell_sorted[:-1]
-        starts = np.flatnonzero(new_cell)
-        tet_sorted = tet_order[order]
-        winners = segmented_argmin((num_tets - 1 - tet_sorted).astype(np.float64), starts, tet_sorted)
-        scatter(
-            gather(values, order[winners]),
-            cell_sorted[starts],
-            sample_scalar.reshape(-1),
-        )
+        order = np.argsort(keys)
+        cell = keys[order] // num_tets
+        last = np.ones(len(cell), dtype=bool)
+        last[:-1] = cell[1:] != cell[:-1]
+        return cell[last], gather(values, order[last])
 
     # -- sampling (seed reference path) -----------------------------------------------------
     def _sample_pass_reference(
@@ -810,30 +863,25 @@ class UnstructuredVolumeRenderer:
         accum_rgb: np.ndarray,
         accum_alpha: np.ndarray,
         step_length: float,
-        live: np.ndarray | None,
+        data_range: tuple[float, float] | None = None,
     ) -> None:
-        """Front-to-back composite sample rows into the matching accumulator rows.
+        """Front-to-back composite sample rows (NaN = no sample) into the matching accumulator rows.
 
-        ``live`` masks which rows may update their opacity (engine riders --
-        retired but not yet compacted lanes -- must stay frozen); ``None``
-        updates every row (the reference path's full-width behavior).
+        ``data_range`` overrides the rows' own scalar range when the transfer
+        function has no fixed one (see :meth:`TransferFunction.normalize`).
         """
         tf = self.transfer_function
         has_sample = ~np.isnan(sample_scalar)
         if not np.any(has_sample):
             return
         scalars = np.where(has_sample, sample_scalar, 0.0)
-        rgb, alpha = tf.sample(scalars, step_length=step_length)
+        rgb, alpha = tf.sample(scalars, step_length=step_length, data_range=data_range)
         alpha = np.where(has_sample, alpha, 0.0)
         transparency = np.cumprod(1.0 - alpha, axis=1)
         leading = np.concatenate([np.ones((len(alpha), 1)), transparency[:, :-1]], axis=1)
         weights = (1.0 - accum_alpha)[:, None] * leading * alpha
         accum_rgb += np.einsum("ij,ijk->ik", weights, rgb)
-        merged = 1.0 - (1.0 - accum_alpha) * transparency[:, -1]
-        if live is None:
-            accum_alpha[:] = merged
-        else:
-            accum_alpha[:] = np.where(live, merged, accum_alpha)
+        accum_alpha[:] = 1.0 - (1.0 - accum_alpha) * transparency[:, -1]
 
     def visibility_depth(self, camera: Camera) -> float:
         """Distance from the camera to the mesh center (for visibility ordering)."""

@@ -198,29 +198,11 @@ class PredictionServer:
                 chunk = await reader.read(65536)
                 if not chunk:
                     break
-                buffer = (buffer + chunk) if buffer else chunk
-                while True:
-                    header_end = buffer.find(b"\r\n\r\n")
-                    if header_end < 0:
-                        break
-                    header = buffer[:header_end]
-                    length = 0
-                    lowered = header.lower()
-                    marker = lowered.find(b"content-length:")
-                    if marker >= 0:
-                        line_end = lowered.find(b"\r\n", marker)
-                        if line_end < 0:
-                            line_end = len(lowered)
-                        length = int(lowered[marker + 15 : line_end])
-                    total = header_end + 4 + length
-                    if len(buffer) < total:
-                        break
-                    body = buffer[header_end + 4 : total]
-                    buffer = buffer[total:]
-                    request_line = header.split(b"\r\n", 1)[0]
-                    self._route(request_line, body, conn)
+                buffer = self._dispatch((buffer + chunk) if buffer else chunk, conn)
                 await writer.drain()
-            # EOF: let in-flight batched responses finish before closing.
+                if buffer is None:
+                    break
+            # EOF or bad framing: let in-flight batched responses finish before closing.
             while conn.slots:
                 self.batcher.flush()
                 if conn.slots:
@@ -236,6 +218,41 @@ class PredictionServer:
                 writer.close()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    def _dispatch(self, buffer: bytes, conn: _Connection) -> bytes | None:
+        """Route every complete request in ``buffer`` and return the unparsed rest.
+
+        A ``Content-Length`` that is not ASCII digits makes the framing of
+        everything after it unknowable: it is answered with one 400 and
+        ``None`` is returned so the caller closes the connection.
+        """
+        while True:
+            header_end = buffer.find(b"\r\n\r\n")
+            if header_end < 0:
+                return buffer
+            header = buffer[:header_end]
+            length = 0
+            lowered = header.lower()
+            marker = lowered.find(b"content-length:")
+            if marker >= 0:
+                line_end = lowered.find(b"\r\n", marker)
+                if line_end < 0:
+                    line_end = len(lowered)
+                value = lowered[marker + 15 : line_end].strip()
+                if not value.isdigit():
+                    self.requests += 1
+                    self.errors += 1
+                    message = "Content-Length must be ASCII digits"
+                    conn.fill(conn.reserve(), _error_response(400, "bad-request", message))
+                    return None
+                length = int(value)
+            total = header_end + 4 + length
+            if len(buffer) < total:
+                return buffer
+            body = buffer[header_end + 4 : total]
+            buffer = buffer[total:]
+            request_line = header.split(b"\r\n", 1)[0]
+            self._route(request_line, body, conn)
 
     # -- routing (fully synchronous: responses land in ordered slots) -------------------
     def _route(self, request_line: bytes, body: bytes, conn: _Connection) -> None:

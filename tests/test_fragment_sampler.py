@@ -13,6 +13,7 @@ devices, and across ``pair_chunk`` values.
 from __future__ import annotations
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from repro.geometry import (
 )
 from repro.geometry.mesh import UnstructuredTetMesh
 from repro.geometry.tetra import TET_FACES
-from repro.rendering import UnstructuredVolumeConfig, UnstructuredVolumeRenderer
+from repro.rendering import TransferFunction, UnstructuredVolumeConfig, UnstructuredVolumeRenderer
 
 UNIT_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -199,8 +200,7 @@ class TestFragmentDifferential:
         camera = Camera.framing_bounds(tets.bounds, 24, 24, zoom=1.1)
         prepared = renderer._prepare(camera)
         num_pixels = camera.width * camera.height
-        sample_scalar = np.full((num_pixels, config.samples_in_depth), np.nan)
-        renderer._sample_pass(
+        cells, _ = renderer._sample_pass(
             camera,
             prepared.screen_vertices,
             prepared.tet_scalars,
@@ -208,10 +208,11 @@ class TestFragmentDifferential:
             prepared.face_heights,
             0,
             config.samples_in_depth,
-            sample_scalar,
             np.ones(num_pixels, dtype=bool),
         )
-        filled = ~np.isnan(sample_scalar)
+        filled = np.zeros(num_pixels * config.samples_in_depth, dtype=bool)
+        filled[cells] = True
+        filled = filled.reshape(num_pixels, config.samples_in_depth)
         covered = filled.any(axis=1)
         assert np.count_nonzero(covered) > 0
         rising_edges = np.count_nonzero(np.diff(filled[covered].astype(np.int8), axis=1) == 1, axis=1)
@@ -228,6 +229,71 @@ class TestFragmentDifferential:
         for device in ("vectorized", "serial"):
             with use_device(device):
                 _assert_images_match(renderer, camera)
+
+    @settings(max_examples=24, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        passes=st.integers(1, 4),
+        early_termination_alpha=st.sampled_from([0.2, 0.98, 1.0]),
+    )
+    def test_sparse_compositing_matches_dense_reference(self, seed, passes, early_termination_alpha):
+        # The engine composites the resolved fragment list; the reference
+        # composites the dense pixels x slots buffer.  Early termination
+        # retires lanes between passes, so riders and compacted lanes must
+        # keep the reference's opacities too.
+        mesh = _random_tet_soup(seed)
+        config = UnstructuredVolumeConfig(
+            samples_in_depth=20, num_passes=passes, early_termination_alpha=early_termination_alpha
+        )
+        renderer = UnstructuredVolumeRenderer(mesh, "scalar", config=config)
+        camera = Camera.framing_bounds(mesh.bounds, 16, 16, zoom=1.2)
+        fast = renderer.render(camera)
+        slow = renderer.render_reference(camera)
+        assert np.array_equal(fast.framebuffer.rgba, slow.framebuffer.rgba)
+        assert np.array_equal(fast.framebuffer.depth, slow.framebuffer.depth)
+        assert fast.features.samples_per_ray == slow.features.samples_per_ray
+
+    @pytest.mark.parametrize("samples_in_depth, num_passes", [(1, 1), (2, 2)])
+    def test_data_range_transfer_function_matches_dense_reference(self, samples_in_depth, num_passes):
+        # With no fixed scalar range the dense buffer normalizes against its
+        # own extremes, which include the 0.0 fill of its empty cells.  Here
+        # every pass has one slot, so every covered pixel's run is one sample
+        # long and the packed block has no padding; the sparse path must
+        # still use the range that includes 0.0.
+        grid = make_named_dataset("enzo", (6, 6, 6), seed=7)
+        tets = tetrahedralize_uniform_grid(grid)
+        points = tets.points()
+        tets.add_point_field("positive", 1.0 + points[:, 0] ** 2 + points[:, 1])
+        assert np.all(tets.point_fields["positive"] > 0.0)
+        config = UnstructuredVolumeConfig(samples_in_depth=samples_in_depth, num_passes=num_passes)
+        transfer_function = TransferFunction(scalar_range=None, unit_distance=tets.bounds.diagonal / 4)
+        renderer = UnstructuredVolumeRenderer(tets, "positive", transfer_function, config)
+        camera = Camera.framing_bounds(tets.bounds, 24, 24, zoom=0.8)
+        fast = renderer.render(camera)
+        slow = renderer.render_reference(camera)
+        num_pixels = camera.width * camera.height
+        assert 0 < fast.features.active_pixels < num_pixels  # the dense buffer has empty cells
+        assert np.array_equal(fast.framebuffer.rgba, slow.framebuffer.rgba)
+
+    def test_render_memory_is_below_one_dense_sample_buffer(self):
+        # A rank-sized block at 128^2 and 200 slots: ~2.2k covered pixels x
+        # ~76 samples, about the size of one LULESH rank in situ.  The dense
+        # pixels x slots float64 buffer alone would be 26 MB.
+        grid = make_named_dataset("enzo", (8, 8, 8), seed=3)
+        tets = tetrahedralize_uniform_grid(grid)
+        config = UnstructuredVolumeConfig(samples_in_depth=200)
+        renderer = UnstructuredVolumeRenderer(tets, "density", config=config)
+        camera = Camera.framing_bounds(tets.bounds, 128, 128, zoom=0.5)
+        dense_bytes = camera.width * camera.height * config.samples_in_depth * 8
+        renderer.render(camera)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            result = renderer.render(camera)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.features.active_pixels > 1_000 and result.features.samples_per_ray > 50
+        assert peak < dense_bytes
 
     def test_devices_agree_bit_for_bit(self, small_tets):
         camera = Camera.framing_bounds(small_tets.bounds, 20, 20, zoom=1.2)

@@ -214,6 +214,43 @@ class TestHttpSurface:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("framing", ["not-digits", "rewinds-buffer"])
+    def test_bad_content_length_answers_400_and_closes(self, models_path, framing):
+        """A non-digit Content-Length gets one 400 and a close; the server keeps serving.
+
+        A length of ``-(header_end + 4)`` makes the request's total size zero:
+        a parser that trusts it never consumes the request and spins without
+        awaiting, freezing the event loop.
+        """
+        prefix = b"POST /predict HTTP/1.1\r\nHost: serving\r\nContent-Length: "
+        if framing == "not-digits":
+            header = prefix + b"abc"
+        else:
+            total = len(prefix) + len(b"-NN") + 4
+            header = prefix + f"-{total}".encode()
+            assert len(header) + 4 == total
+
+        async def scenario():
+            server = await start_server(models_path, watch=False)
+            try:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(header + b"\r\n\r\n" + request_bytes("GET", "/healthz"))
+                await writer.drain()
+                status, body = await asyncio.wait_for(read_response(reader), timeout=5.0)
+                assert status == 400 and json.loads(body)["error"]["code"] == "bad-request"
+                # The pipelined request after the bad one is not answered.
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+                writer.close()
+                client = await ServingClient.connect(server.host, server.port)
+                status, health = await asyncio.wait_for(client.request("GET", "/healthz"), timeout=5.0)
+                assert status == 200 and health["status"] == "ok"
+                await client.close()
+                assert server.errors == 1
+            finally:
+                await server.close()
+
+        asyncio.run(scenario())
+
     def test_stats_and_healthz(self, models_path):
         async def scenario():
             server = await start_server(models_path, watch=False)

@@ -292,3 +292,14 @@ class TestStrawman:
         strawman.publish(proxy.describe())
         strawman.execute(self._actions(proxy.primary_field, "raster"))
         assert len(strawman.history) == 2
+
+    def test_close_releases_history(self, tmp_path):
+        proxy = CloverleafProxy(5, seed=4)
+        proxy.advance(1)
+        strawman = Strawman()
+        strawman.open(StrawmanOptions(num_ranks=1, output_directory=str(tmp_path), default_width=24, default_height=24))
+        strawman.publish(proxy.describe())
+        record = strawman.execute(self._actions(proxy.primary_field, "raster"))
+        assert len(strawman.history) == 1 and strawman.history[0] is record
+        strawman.close()
+        assert strawman.history == []
