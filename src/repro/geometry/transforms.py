@@ -73,12 +73,15 @@ def viewport_transform(ndc: np.ndarray, width: int, height: int) -> np.ndarray:
     """Map normalized device coordinates ``[-1, 1]`` to pixel coordinates.
 
     Returns an ``(n, 3)`` array of ``(px, py, depth)`` where depth is the NDC
-    z remapped to ``[0, 1]`` (0 = near plane).
+    z remapped to ``[0, 1]`` (0 = near plane).  Rows count down from the top
+    of the image (NDC ``y = +1`` maps to ``py = 0``), the convention of
+    :meth:`Camera.generate_rays`, so object-order and image-order renderers
+    of one camera produce images with the same row order.
     """
     ndc = np.asarray(ndc, dtype=np.float64)
     out = np.empty_like(ndc)
     out[:, 0] = (ndc[:, 0] + 1.0) * 0.5 * width
-    out[:, 1] = (ndc[:, 1] + 1.0) * 0.5 * height
+    out[:, 1] = (1.0 - ndc[:, 1]) * 0.5 * height
     out[:, 2] = (ndc[:, 2] + 1.0) * 0.5
     return out
 

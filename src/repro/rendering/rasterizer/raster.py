@@ -87,10 +87,12 @@ class Rasterizer:
             )
             visible = in_front & on_screen
             if self.config.backface_culling:
+                # Screen rows count downward, which mirrors the winding:
+                # front faces have a non-negative signed area.
                 edge1 = corner_screen[:, 1, :2] - corner_screen[:, 0, :2]
                 edge2 = corner_screen[:, 2, :2] - corner_screen[:, 0, :2]
                 signed_area = edge1[:, 0] * edge2[:, 1] - edge1[:, 1] * edge2[:, 0]
-                visible &= signed_area <= 0.0
+                visible &= signed_area >= 0.0
         phases["culling"] = timer.elapsed
 
         visible_ids = np.flatnonzero(visible)

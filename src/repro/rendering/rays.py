@@ -7,11 +7,25 @@ connectivity ray-caster baseline (one of which lost the sign of tiny negative
 direction components).  :class:`RayEmitter` centralizes all of it on top of
 :meth:`repro.geometry.transforms.Camera.generate_rays` and the shared slab
 test :func:`repro.geometry.aabb.ray_box_intervals`.
+
+Emission is **footprint-bounded**: given the bounds of the data a renderer
+holds, the emitter projects the box's eight corners through the camera basis
+(the row convention of ``generate_rays``: row 0 at the top), pads the pixel
+rectangle they span by :data:`FOOTPRINT_PAD` pixels, clips it to the image,
+and generates rays only inside it.  A box that is not entirely in front of
+the camera falls back to the full frame.  The projection of a box in front
+of the camera lies inside the convex hull of its projected corners, so no
+pixel whose ray meets the box is dropped; each ray is computed elementwise,
+so the rays emitted are bit-equal to the same pixels' full-frame rays.  An
+in situ rank whose data covers a tenth of the image therefore generates and
+traces a tenth of the rays -- the active-pixel (``AP``) scaling of the
+paper's image-order cost models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +34,38 @@ from repro.geometry.transforms import Camera
 from repro.util.morton import morton_encode_2d
 
 __all__ = ["CameraPath", "RayEmitter"]
+
+#: Pixels of padding around the projected rectangle of a box; far more than
+#: the roundoff between the projection and the ray generator's arithmetic.
+FOOTPRINT_PAD = 2
+
+
+def _footprint_pixels(camera: Camera, bounds: AABB | None) -> np.ndarray:
+    """Row-major ids of the pixels whose rays can meet ``bounds``.
+
+    A conservative rectangle: the padded, clipped pixel span of the box's
+    projected corners, or every pixel when ``bounds`` is ``None`` or not
+    entirely in front of the camera.
+    """
+    width, height = camera.width, camera.height
+    if bounds is None:
+        return np.arange(width * height, dtype=np.int64)
+    corners = np.array(list(itertools.product(*zip(bounds.low, bounds.high))))
+    right, true_up, forward = camera.basis()
+    offsets = corners - camera.position
+    depth = offsets @ forward
+    if not np.all(depth > 0.0):
+        return np.arange(width * height, dtype=np.int64)
+    tan_half = np.tan(np.radians(camera.fov_y_degrees) / 2.0)
+    with np.errstate(over="ignore"):
+        px = (offsets @ right / depth / (tan_half * camera.aspect) + 1.0) * 0.5 * width
+        py = (1.0 - offsets @ true_up / depth / tan_half) * 0.5 * height
+    pad = FOOTPRINT_PAD
+    x0, x1 = np.clip([np.floor(px.min()) - pad, np.ceil(px.max()) + pad], 0, width).astype(np.int64)
+    y0, y1 = np.clip([np.floor(py.min()) - pad, np.ceil(py.max()) + pad], 0, height).astype(np.int64)
+    rows = np.arange(y0, y1, dtype=np.int64)
+    cols = np.arange(x0, x1, dtype=np.int64)
+    return (rows[:, None] * width + cols[None, :]).ravel()
 
 
 @dataclass
@@ -46,61 +92,45 @@ class RayEmitter:
         if self.supersample not in (1, 4):
             raise ValueError("supersample must be 1 or 4")
 
-    # -- orderings -------------------------------------------------------------
-    def _morton_pixel_order(self) -> np.ndarray:
-        """Pixel ids sorted along a Morton curve of the framebuffer."""
-        camera = self.camera
-        pixel_ids = np.arange(camera.width * camera.height, dtype=np.int64)
-        px = (pixel_ids % camera.width).astype(np.uint32)
-        py = (pixel_ids // camera.width).astype(np.uint32)
-        codes = morton_encode_2d(px, py)
-        return pixel_ids[np.argsort(codes, kind="stable")]
-
     # -- emission --------------------------------------------------------------
-    def emit(self, pixel_ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def emit(
+        self, pixel_ids: np.ndarray | None = None, bounds: AABB | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Primary rays; returns ``(pixel_ids, origins, directions)``.
 
-        ``pixel_ids`` restricts emission to specific (row-major) pixels and
-        overrides the Morton ordering; with 4x super-sampling each pixel id
-        appears four times with jittered sub-pixel positions.
+        ``bounds`` restricts emission to the box's pixel footprint (see the
+        module docstring); the rays come out in the same relative order as
+        in the full frame.  ``pixel_ids`` instead restricts emission to
+        specific (row-major) pixels and overrides the Morton ordering.  With
+        4x super-sampling each pixel id appears four times with jittered
+        sub-pixel positions.
         """
         camera = self.camera
-        if self.supersample == 1:
-            if pixel_ids is None:
-                if self.morton_order:
-                    pixel_ids = self._morton_pixel_order()
-                else:
-                    pixel_ids = np.arange(camera.width * camera.height, dtype=np.int64)
-            else:
-                pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
+        if pixel_ids is not None:
+            if self.supersample != 1:
+                raise ValueError("explicit pixel_ids are not supported with super-sampling")
+            if bounds is not None:
+                raise ValueError("pass either pixel_ids or bounds, not both")
+            pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
             origins, directions = camera.generate_rays(pixel_ids)
             return pixel_ids, origins, directions
-        if pixel_ids is not None:
-            raise ValueError("explicit pixel_ids are not supported with super-sampling")
-        # Four-ray super-sampling: jitter by generating rays on a double-res
+        # Four-ray super-sampling jitters by generating rays on a double-res
         # camera and mapping each fine pixel back to its coarse parent.
-        fine = Camera(
-            position=camera.position,
-            look_at=camera.look_at,
-            up=camera.up,
-            fov_y_degrees=camera.fov_y_degrees,
-            width=camera.width * 2,
-            height=camera.height * 2,
-            near=camera.near,
-            far=camera.far,
-        )
-        fine_ids = np.arange(fine.width * fine.height, dtype=np.int64)
-        fx = fine_ids % fine.width
-        fy = fine_ids // fine.width
-        parent = (fy // 2) * camera.width + (fx // 2)
+        scale = 2 if self.supersample == 4 else 1
+        sampler = camera
+        if scale == 2:
+            sampler = replace(camera, width=camera.width * 2, height=camera.height * 2)
+        sample_ids = _footprint_pixels(sampler, bounds)
+        px = sample_ids % sampler.width // scale
+        py = sample_ids // sampler.width // scale
+        parent = py * camera.width + px
         if self.morton_order:
             order = np.argsort(
-                morton_encode_2d((fx // 2).astype(np.uint32), (fy // 2).astype(np.uint32)),
-                kind="stable",
+                morton_encode_2d(px.astype(np.uint32), py.astype(np.uint32)), kind="stable"
             )
         else:
             order = np.argsort(parent, kind="stable")
-        origins, directions = fine.generate_rays(fine_ids[order])
+        origins, directions = sampler.generate_rays(sample_ids[order])
         return parent[order], origins, directions
 
     def emit_clipped(
@@ -108,13 +138,14 @@ class RayEmitter:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Rays whose parametric interval overlaps ``bounds``.
 
-        Returns ``(pixel_ids, origins, directions, t_near, t_far)`` restricted
-        to rays with a non-degenerate span: ``t_near`` is clamped at 0 (rays
-        starting inside the box enter immediately) and only rays with
-        ``t_far > t_near`` are kept.  This is the shared "ray setup" phase of
-        the volume ray casters.
+        Rays are generated over the box's pixel footprint only, then
+        slab-tested.  Returns ``(pixel_ids, origins, directions, t_near,
+        t_far)`` restricted to rays with a non-degenerate span: ``t_near`` is
+        clamped at 0 (rays starting inside the box enter immediately) and
+        only rays with ``t_far > t_near`` are kept.  This is the shared "ray
+        setup" phase of the volume ray casters.
         """
-        pixel_ids, origins, directions = self.emit()
+        pixel_ids, origins, directions = self.emit(bounds=bounds)
         t_near, t_far = ray_box_intervals(origins, directions, bounds.low, bounds.high)
         t_near = np.maximum(t_near, 0.0)
         keep = t_far > t_near

@@ -3,10 +3,16 @@
 Two builders are provided, mirroring the study's configurations:
 
 * **LBVH** (``method="lbvh"``) -- primitives are sorted along a Morton curve
-  of their centroids and the hierarchy is emitted by recursively splitting
-  the sorted range at its midpoint.  This is the linear-BVH family used by
-  the paper's VTK-m ray tracer (a variant of Karras 2012) whose build time is
-  O(n); the Eq. 5.1 term ``c0 * O`` models exactly this build.
+  of their centroids and every range splits where the highest differing bit
+  of its first and last codes flips (Karras 2012, "Maximizing parallelism in
+  the construction of BVHs, octrees and k-d trees").  The tree is built
+  **level-synchronously**: all ranges of one tree level find their splits
+  with a single ``searchsorted`` over the sorted codes, leaf boxes come from
+  one ``minimum/maximum.reduceat`` over the leaf ranges (which partition the
+  sorted primitives), and internal boxes are folded bottom-up from their
+  children.  The work is O(n) numpy per level, no Python per node; this is
+  the linear-BVH build of the paper's VTK-m ray tracer that the Eq. 5.1 term
+  ``c0 * O`` models.
 * **SAH** (``method="sah"``) -- a binned surface-area-heuristic top-down
   build producing higher-quality trees at higher build cost.  The
   specialised-ray-tracer baselines (Embree / OptiX proxies, Tables 3 and 4)
@@ -14,7 +20,8 @@ Two builders are provided, mirroring the study's configurations:
 
 The tree is stored flat in structure-of-arrays form so traversal can run
 vectorized over large ray batches: per node we keep the AABB corners, the
-two child indices (internal nodes) or the primitive range (leaves).
+two child indices (internal nodes) or the primitive range (leaves).  Both
+builders record the tree depth, which sizes the traversal stacks.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ class BVH:
     primitive_order:
         Permutation of the original primitive ids so each leaf's primitives
         are contiguous.
+    depth:
+        Depth of the deepest node (root = 0), recorded by the builder.
     """
 
     node_low: np.ndarray
@@ -61,9 +70,9 @@ class BVH:
     primitive_order: np.ndarray
     leaf_size: int
     method: str
+    depth: int
     _triangle_soa: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _node_boxes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _max_depth: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -78,21 +87,8 @@ class BVH:
         return self.primitive_count[node] > 0
 
     def max_depth(self) -> int:
-        """Depth of the deepest node (root = 0), computed once and cached."""
-        if self._max_depth is None:
-            if self.num_nodes == 0:
-                self._max_depth = 0
-            else:
-                deepest = 0
-                stack = [(0, 0)]
-                while stack:
-                    node, depth = stack.pop()
-                    deepest = max(deepest, depth)
-                    if self.primitive_count[node] == 0:
-                        stack.append((int(self.left_child[node]), depth + 1))
-                        stack.append((int(self.right_child[node]), depth + 1))
-                self._max_depth = deepest
-        return self._max_depth
+        """Depth of the deepest node (root = 0)."""
+        return self.depth
 
     def triangle_soa(
         self, mesh: TriangleMesh, dtype: np.dtype | type = np.float64
@@ -180,7 +176,7 @@ class BVH:
 
 
 class _Builder:
-    """Shared recursive build machinery for both split strategies."""
+    """Top-down build machinery driven by a split callable (the SAH builder)."""
 
     def __init__(self, lows: np.ndarray, highs: np.ndarray, centroids: np.ndarray, leaf_size: int):
         self.lows = lows
@@ -193,6 +189,7 @@ class _Builder:
         self.right: list[int] = []
         self.first: list[int] = []
         self.count: list[int] = []
+        self.depth = 0
 
     def _new_node(self, low: np.ndarray, high: np.ndarray) -> int:
         self.node_low.append(low)
@@ -212,11 +209,13 @@ class _Builder:
         the split function).
         """
         order = order.copy()
-        # Work stack of (start, end, node_index); node boxes are finalized on pop.
+        # Work stack of (start, end, node_index, depth); node boxes are
+        # finalized on pop.
         root = self._new_node(np.zeros(3), np.zeros(3))
-        stack = [(0, len(order), root)]
+        stack = [(0, len(order), root, 0)]
         while stack:
-            start, end, node = stack.pop()
+            start, end, node, depth = stack.pop()
+            self.depth = max(self.depth, depth)
             prims = order[start:end]
             low = self.lows[prims].min(axis=0)
             high = self.highs[prims].max(axis=0)
@@ -232,8 +231,8 @@ class _Builder:
             right_node = self._new_node(low, high)
             self.left[node] = left_node
             self.right[node] = right_node
-            stack.append((start, position, left_node))
-            stack.append((position, end, right_node))
+            stack.append((start, position, left_node, depth + 1))
+            stack.append((position, end, right_node, depth + 1))
         return order
 
     def finish(self, order: np.ndarray, leaf_size: int, method: str) -> BVH:
@@ -247,30 +246,82 @@ class _Builder:
             primitive_order=order.astype(np.int64),
             leaf_size=leaf_size,
             method=method,
+            depth=self.depth,
         )
 
 
-def _make_lbvh_split(sorted_codes: np.ndarray):
-    """Karras-style LBVH split over the Morton-sorted primitive range.
+def _build_lbvh(lows: np.ndarray, highs: np.ndarray, codes: np.ndarray, leaf_size: int) -> BVH:
+    """Level-synchronous Karras LBVH over the primitives' Morton codes.
 
-    Each range splits where the highest differing bit of its first and last
-    Morton codes flips -- the spatial plane of the Z-order cell -- which
-    produces far less node overlap (and therefore fewer traversal visits)
-    than splitting the range at its midpoint.  Ranges whose codes are all
-    identical fall back to the midpoint.
+    Primitives are sorted by code (stably).  Each range of the sorted order
+    splits at the first index whose code has the highest differing bit of
+    the range's first and last codes set -- the spatial plane of the Z-order
+    cell, which produces far less node overlap than a midpoint split -- or
+    at the midpoint when all its codes are equal.  Nodes are numbered level
+    by level (a level's children follow it, left before right).
     """
-
-    def split(order: np.ndarray, start: int, end: int) -> int:
-        first = int(sorted_codes[start])
-        last = int(sorted_codes[end - 1])
-        if first == last:
-            return (start + end) // 2
-        top_bit = (first ^ last).bit_length() - 1
-        # First index whose code has the highest differing bit set.
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order].astype(np.int64)
+    lows, highs = lows[order], highs[order]
+    n = len(codes)
+    # One entry per level: the level's (start, end) ranges and leaf flags.
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    start = np.zeros(1, dtype=np.int64)
+    end = np.full(1, n, dtype=np.int64)
+    while len(start):
+        first = codes.take(start)
+        last = codes.take(end - 1)
+        differ = first ^ last
+        # The codes have 30 bits, so float64 frexp yields exact bit lengths.
+        top_bit = np.maximum(np.frexp(differ.astype(np.float64))[1] - 1, 0)
         threshold = ((first >> top_bit) | 1) << top_bit
-        return start + int(np.searchsorted(sorted_codes[start:end], threshold))
+        split = np.where(differ == 0, (start + end) // 2, np.searchsorted(codes, threshold))
+        leaf = (end - start <= leaf_size) | (split <= start) | (split >= end)
+        levels.append((start, end, leaf))
+        inner = ~leaf
+        start = np.column_stack([start[inner], split[inner]]).ravel()
+        end = np.column_stack([split[inner], end[inner]]).ravel()
 
-    return split
+    sizes = [len(level_start) for level_start, _, _ in levels]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    num_nodes = int(offsets[-1])
+    left = np.full(num_nodes, -1, dtype=np.int64)
+    right = np.full(num_nodes, -1, dtype=np.int64)
+    first_primitive = np.zeros(num_nodes, dtype=np.int64)
+    primitive_count = np.zeros(num_nodes, dtype=np.int64)
+    for depth, (level_start, level_end, leaf) in enumerate(levels):
+        nodes = offsets[depth] + np.arange(len(leaf), dtype=np.int64)
+        inner = nodes[~leaf]
+        left[inner] = offsets[depth + 1] + 2 * np.arange(len(inner), dtype=np.int64)
+        right[inner] = left[inner] + 1
+        first_primitive[nodes[leaf]] = level_start[leaf]
+        primitive_count[nodes[leaf]] = level_end[leaf] - level_start[leaf]
+
+    # Leaf ranges partition [0, n): one reduceat over them in start order.
+    leaves = np.flatnonzero(primitive_count)
+    leaves = leaves[np.argsort(first_primitive[leaves])]
+    node_low = np.empty((num_nodes, 3), dtype=lows.dtype)
+    node_high = np.empty((num_nodes, 3), dtype=highs.dtype)
+    node_low[leaves] = np.minimum.reduceat(lows, first_primitive[leaves], axis=0)
+    node_high[leaves] = np.maximum.reduceat(highs, first_primitive[leaves], axis=0)
+    # Internal boxes fold bottom-up from their (deeper) children; min and max
+    # are exact, so each box equals the reduction over its whole range.
+    for depth in range(len(levels) - 2, -1, -1):
+        nodes = offsets[depth] + np.flatnonzero(~levels[depth][2])
+        node_low[nodes] = np.minimum(node_low[left[nodes]], node_low[right[nodes]])
+        node_high[nodes] = np.maximum(node_high[left[nodes]], node_high[right[nodes]])
+    return BVH(
+        node_low=node_low,
+        node_high=node_high,
+        left_child=left,
+        right_child=right,
+        first_primitive=first_primitive,
+        primitive_count=primitive_count,
+        primitive_order=order.astype(np.int64),
+        leaf_size=leaf_size,
+        method="lbvh",
+        depth=len(levels) - 1,
+    )
 
 
 def _make_sah_split(lows: np.ndarray, highs: np.ndarray, centroids: np.ndarray, num_bins: int = 8):
@@ -335,8 +386,8 @@ def build_bvh(
     leaf_size:
         Maximum primitives per leaf.
     method:
-        ``"lbvh"`` (Morton-sorted midpoint splits, linear-time flavour) or
-        ``"sah"`` (binned surface-area heuristic, higher quality).
+        ``"lbvh"`` (Morton-sorted Karras splits, built level-synchronously)
+        or ``"sah"`` (binned surface-area heuristic, higher quality).
 
     Returns
     -------
@@ -348,14 +399,11 @@ def build_bvh(
         raise ValueError("leaf_size must be at least 1")
     lows, highs = mesh.triangle_bounds()
     centroids = mesh.centroids()
-    builder = _Builder(lows, highs, centroids, leaf_size)
     if method == "lbvh":
-        codes = morton_codes_points(centroids)
-        order = np.argsort(codes, kind="stable")
-        order = builder.build(order, _make_lbvh_split(codes[order]))
-    elif method == "sah":
-        order = np.arange(mesh.num_triangles, dtype=np.int64)
-        order = builder.build(order, _make_sah_split(lows, highs, centroids))
-    else:
+        return _build_lbvh(lows, highs, morton_codes_points(centroids), leaf_size)
+    if method != "sah":
         raise ValueError(f"unknown BVH build method {method!r}")
+    builder = _Builder(lows, highs, centroids, leaf_size)
+    order = np.arange(mesh.num_triangles, dtype=np.int64)
+    order = builder.build(order, _make_sah_split(lows, highs, centroids))
     return builder.finish(order, leaf_size, method)

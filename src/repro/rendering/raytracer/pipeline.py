@@ -4,7 +4,8 @@ The renderer processes all rays of a generation together through a fixed
 sequence of pipeline stages built from data-parallel primitives:
 
 1. **Primary ray generation** (map) -- one ray per pixel (or four with
-   super-sampling), ordered along a Morton curve of the framebuffer.
+   super-sampling) of the mesh's screen footprint, ordered along a Morton
+   curve of the framebuffer.
 2. **Traversal and intersection** (map) -- BVH traversal and Moller-Trumbore
    intersection, the "if-if" structure of Aila and Laine.
 3. **Stream compaction** (reduce/scan/gather, optional) -- drop rays that
@@ -148,9 +149,10 @@ class RayTracer:
 
     # -- ray generation --------------------------------------------------------------
     def _generate_rays(self, camera: Camera) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Primary rays in Morton order via the shared :class:`RayEmitter`."""
+        """Primary rays over the mesh's pixel footprint, in Morton order, via
+        the shared :class:`RayEmitter`; pixels outside it cannot hit."""
         emitter = RayEmitter(camera, supersample=self.config.supersample, morton_order=True)
-        return emitter.emit()
+        return emitter.emit(bounds=self.scene.mesh.bounds)
 
     def visibility_depth(self, camera: Camera) -> float:
         """Distance from the camera to the scene center (for visibility ordering)."""

@@ -10,13 +10,19 @@ the paper's ray tracer adapts, executed as a kernel on the shared
   one flat array per vector component).  The SIMT loop runs entirely on the
   frontier, so every vectorized step touches only resident rays instead of
   fancy-indexing full-width ray arrays.
-* Traversal is **ordered**: popping an internal node tests both child boxes
-  componentwise, computes their entry distances, and pushes the far child
-  below the near child; pushes -- and pops, via the entry distance carried on
-  the stack -- whose entry already exceeds the ray's closest hit are culled.
-  Leaf children are intersected immediately at discovery instead of being
-  pushed, so the stack holds internal nodes only and the loop advances one
-  *internal* node per ray per iteration.
+* Rays are **culled at the root** before the engine starts: every ray is
+  slab-tested against the root box with the kernel's own slab test, and only
+  the survivors become lanes.  A child box lies inside its parent's and the
+  slab arithmetic is monotone, so a ray that misses the root box misses
+  every node below it; culled rays report no hit and ``nodes_visited == 0``.
+* Traversal is **ordered**, one stack pop per lane per engine step: popping
+  an internal node tests both child boxes componentwise, computes their
+  entry distances, and pushes the far child below the near child; pushes --
+  and pops, via the entry distance carried on the stack -- whose entry
+  already exceeds the ray's closest hit are culled.  Leaf children are
+  intersected immediately at discovery instead of being pushed, so the stack
+  holds internal nodes only, and this depth-first order never holds more
+  than ``depth + 1`` entries.
 * Leaf intersection is **batched**: every ``(ray, triangle)`` candidate pair
   of an iteration is expanded with ``np.repeat`` + segment-local indices (the
   same idiom as the volume renderer's ``pair_chunk`` sampler) and tested in a
@@ -67,7 +73,6 @@ __all__ = [
     "moller_trumbore",
     "FRONTIER_COMPACT_FRACTION",
     "FRONTIER_COMPACT_MIN",
-    "FRONTIER_POP_SCHEDULE",
 ]
 
 #: Numerical epsilon used by the intersector to reject grazing hits.
@@ -89,7 +94,8 @@ class HitRecord:
     nodes_visited:
         Number of BVH nodes processed per ray (internal pops plus leaves
         intersected) -- the observable behind the ``log2(O)``
-        traversal-depth term of the ray-tracing model.
+        traversal-depth term of the ray-tracing model.  Rays culled at the
+        root box report zero.
     """
 
     triangle: np.ndarray
@@ -225,48 +231,42 @@ def _moller_components(
     return hit, t, u, v
 
 
-#: Pops per frontier lane per loop iteration, keyed by frontier width: wide
-#: frontiers take one ordered stack op per lane (best culling), narrow
-#: (tail) frontiers drain several stack levels at once so the per-iteration
-#: Python overhead amortizes over the few long-running rays.
-FRONTIER_POP_SCHEDULE = ((16384, 1), (4096, 2), (1024, 4), (0, 8))
+def _frontier_lanes(kernel, origins, directions, limit_t, dtype) -> FrontierLanes:
+    """Build the traversal frontier: a contiguous SoA of the mutable state of
+    every ray that enters the root box.
 
-
-def _pops_for_width(width: int) -> int:
-    for threshold, pops in FRONTIER_POP_SCHEDULE:
-        if width > threshold:
-            return pops
-    return FRONTIER_POP_SCHEDULE[-1][1]
-
-
-def _frontier_lanes(origins, directions, limit_t, dtype, max_stack, t_min) -> FrontierLanes:
-    """Build the traversal frontier: a contiguous SoA of all mutable ray state.
-
-    Lane liveness is encoded entirely in ``stack_tops``: a lane with an empty
-    stack is retired (any-hit occlusion simply empties the stack).  ``limit``
-    caches ``min(best_t, limit_t)`` and is tightened in place as hits land.
+    Rays are slab-tested against the root box first and only the survivors
+    become lanes (lane id = ray index); the others keep the miss record the
+    output arrays start with.  A single-leaf root has no box test, so every
+    ray enters.  Lane liveness is encoded entirely in ``stack_tops``: a lane
+    with an empty stack is retired (any-hit occlusion simply empties the
+    stack).  ``limit`` caches ``min(best_t, limit_t)`` and is tightened in
+    place as hits land.
     """
-    n = len(origins)
-    dx = np.ascontiguousarray(directions[:, 0], dtype=dtype)
-    dy = np.ascontiguousarray(directions[:, 1], dtype=dtype)
-    dz = np.ascontiguousarray(directions[:, 2], dtype=dtype)
-    stack_node = np.full((n, max_stack), -1, dtype=np.int32)
-    stack_entry = np.zeros((n, max_stack), dtype=dtype)
+    rays = {"limit_t": limit_t}
+    for axis, component in enumerate("xyz"):
+        rays["o" + component] = np.ascontiguousarray(origins[:, axis], dtype=dtype)
+        rays["d" + component] = np.ascontiguousarray(directions[:, axis], dtype=dtype)
+        rays["i" + component] = safe_reciprocal(rays["d" + component])
+    lane_ids = np.arange(len(origins), dtype=np.int64)
+    if not kernel.root_is_leaf:
+        root_box = [corner[:1] for corner in kernel.boxes]
+        enters, _ = _slab_entry(
+            rays["ox"], rays["oy"], rays["oz"], rays["ix"], rays["iy"], rays["iz"],
+            *root_box, kernel.t_min, limit_t,
+        )
+        lane_ids = np.flatnonzero(enters)
+        if len(lane_ids) < len(origins):
+            rays = {name: values.take(lane_ids) for name, values in rays.items()}
+    n = len(lane_ids)
+    stack_node = np.full((n, kernel.max_stack), -1, dtype=np.int32)
+    stack_entry = np.zeros((n, kernel.max_stack), dtype=dtype)
     stack_node[:, 0] = 0
-    stack_entry[:, 0] = t_min
+    stack_entry[:, 0] = kernel.t_min
     state = {
-        "ox": np.ascontiguousarray(origins[:, 0], dtype=dtype),
-        "oy": np.ascontiguousarray(origins[:, 1], dtype=dtype),
-        "oz": np.ascontiguousarray(origins[:, 2], dtype=dtype),
-        "dx": dx,
-        "dy": dy,
-        "dz": dz,
-        "ix": safe_reciprocal(dx),
-        "iy": safe_reciprocal(dy),
-        "iz": safe_reciprocal(dz),
+        **rays,
         "best_t": np.full(n, np.inf, dtype=dtype),
-        "limit_t": limit_t,
-        "limit": limit_t.copy(),
+        "limit": rays["limit_t"].copy(),
         "best_triangle": np.full(n, -1, dtype=np.int64),
         "best_u": np.zeros(n, dtype=dtype),
         "best_v": np.zeros(n, dtype=dtype),
@@ -275,16 +275,16 @@ def _frontier_lanes(origins, directions, limit_t, dtype, max_stack, t_min) -> Fr
         "stack_entry": stack_entry,
         "stack_tops": np.ones(n, dtype=np.int32),
     }
-    return FrontierLanes(np.arange(n, dtype=np.int64), state)
+    return FrontierLanes(lane_ids, state)
 
 
 class _TraversalKernel:
     """Ordered BVH traversal as a :class:`repro.dpp.FrontierKernel`.
 
-    One engine step pops (up to ``pops``) stack entries per lane, slab-tests
-    both children of every surviving internal node, pushes internal children
-    far-below-near, and batch-intersects every discovered leaf.  Lanes retire
-    when their stack empties.
+    One engine step pops one stack entry per lane, slab-tests both children
+    of every surviving internal node, pushes internal children far-below-near,
+    and batch-intersects every discovered leaf.  Lanes retire when their
+    stack empties.
     """
 
     output_fields = ("best_triangle", "best_t", "best_u", "best_v", "visits")
@@ -299,42 +299,16 @@ class _TraversalKernel:
         self.primitive_order = bvh.primitive_order
         self.t_min = float(t_min)
         self.any_hit_mode = any_hit_mode
-        self.max_pops = max(pops for _, pops in FRONTIER_POP_SCHEDULE)
-        # Single-pop ordered DFS holds at most depth + 1 entries (a pop at
-        # depth d has at most d entries below it and pushes at most 2), plus
-        # slack for the multi-pop tail window.  The window expands several
-        # subtrees BFS-style, so no depth-based bound holds for it in general
-        # (densely overlapping geometry); the step therefore checks capacity
-        # before every push round and grows the stacks on demand, with an
-        # assertion backing the final bound.
-        self.initial_stack = max(bvh.max_depth() + 1 + 2 * (self.max_pops - 1), 2)
-        self.max_stack = self.initial_stack
+        # Ordered DFS with one pop per step holds at most depth + 1 entries:
+        # a pop at depth d leaves at most d entries below it and pushes at
+        # most 2.
+        self.max_stack = max(bvh.max_depth() + 1, 2)
         self.base = np.empty(0, dtype=np.int64)
         self.root_is_leaf = self.primitive_count[0] > 0
 
     def on_compact(self, lanes: FrontierLanes) -> None:
         """Rebuild the flat stack addressing for the new lane count."""
-        self.max_stack = lanes["stack_node"].shape[1]
         self.base = np.arange(len(lanes), dtype=np.int64) * self.max_stack
-
-    def _grow_stack(self, lanes: FrontierLanes, new_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """Widen every lane's stack to ``new_max`` entries (contents kept).
-
-        Returns fresh flat views of the widened stacks.
-        """
-        n = len(lanes)
-        old_node = lanes["stack_node"]
-        old_entry = lanes["stack_entry"]
-        old = old_node.shape[1]
-        node = np.full((n, new_max), -1, dtype=np.int32)
-        entry = np.zeros((n, new_max), dtype=old_entry.dtype)
-        node[:, :old] = old_node
-        entry[:, :old] = old_entry
-        lanes["stack_node"] = node
-        lanes["stack_entry"] = entry
-        self.max_stack = new_max
-        self.base = np.arange(n, dtype=np.int64) * new_max
-        return node.reshape(-1), entry.reshape(-1)
 
     def _intersect_leaves(self, s: dict, slots: np.ndarray, leaf_nodes: np.ndarray) -> None:
         """Batched (ray, triangle) pair expansion + intersection for one batch
@@ -410,50 +384,33 @@ class _TraversalKernel:
             s["stack_tops"][:] = 0
             return np.ones(n_resident, dtype=bool)
 
-        pops = _pops_for_width(n_resident)
         flat_node = s["stack_node"].reshape(-1)
         flat_entry = s["stack_entry"].reshape(-1)
-        tops = s["stack_tops"]
         limit = s["limit"]
 
-        # Pop the top `pops` stack entries of every lane at once.  Lane-major
-        # raveling keeps virtual pops of one lane adjacent, ordered top
-        # (DFS-next) first; exhausted levels mask off via `read < 0` (their
-        # wrapped flat reads stay in bounds because read >= -max_stack).
-        if pops == 1:
-            read = tops - np.int32(1)
-            addr = self.base + read
-            nodes = flat_node.take(addr)
-            entries = flat_entry.take(addr)
-            consider = (read >= 0) & (entries <= limit)
-            stack_tops = s["stack_tops"] = np.maximum(read, 0)
-            group = np.flatnonzero(consider)
-            slots = group
-            if len(group) == n_resident:
-                group_nodes = nodes
-                s["visits"] += 1
-            else:
-                group_nodes = nodes.take(group)
-                s["visits"][slots] += 1
+        # Pop every lane's top stack entry; lanes whose entry already lies
+        # beyond their closest hit (or whose stack is empty) skip this step.
+        read = s["stack_tops"] - np.int32(1)
+        addr = self.base + read
+        nodes = flat_node.take(addr)
+        entries = flat_entry.take(addr)
+        consider = (read >= 0) & (entries <= limit)
+        stack_tops = s["stack_tops"] = np.maximum(read, 0)
+        slots = np.flatnonzero(consider)
+        size = len(slots)
+        # When every lane's pop survived, the frontier arrays already are
+        # the group (identity) and need no gathers at all.
+        identity = size == n_resident
+        if identity:
+            group_nodes = nodes
+            s["visits"] += 1
         else:
-            read = tops[:, None] - np.arange(1, pops + 1, dtype=np.int32)[None, :]
-            addr = self.base[:, None] + read
-            nodes = flat_node.take(addr)
-            entries = flat_entry.take(addr)
-            consider = (read >= 0) & (entries <= limit[:, None])
-            stack_tops = s["stack_tops"] = np.maximum(tops - np.int32(pops), 0)
-            group = np.flatnonzero(consider.ravel())
-            slots = group // pops
-            group_nodes = nodes.ravel().take(group)
-            s["visits"] += consider.sum(axis=1)
+            group_nodes = nodes.take(slots)
+            s["visits"][slots] += 1
 
-        size = len(group)
         if size:
             boxes = self.boxes
             t_min = self.t_min
-            # Lanes whose single pop all survived the cull need no gathers at
-            # all -- the frontier arrays are already the group (identity).
-            identity = pops == 1 and size == n_resident
             children = np.concatenate(
                 [self.left_child.take(group_nodes), self.right_child.take(group_nodes)]
             )
@@ -461,6 +418,7 @@ class _TraversalKernel:
                 gox, goy, goz = s["ox"], s["oy"], s["oz"]
                 gix, giy, giz = s["ix"], s["iy"], s["iz"]
                 glimit = limit
+                position = stack_tops
             else:
                 gox = s["ox"].take(slots)
                 goy = s["oy"].take(slots)
@@ -469,6 +427,7 @@ class _TraversalKernel:
                 giy = s["iy"].take(slots)
                 giz = s["iz"].take(slots)
                 glimit = limit.take(slots)
+                position = stack_tops.take(slots)
             # Ray state is gathered once and used for both child slab tests.
             hit_left, t_left = _slab_entry(
                 gox, goy, goz, gix, giy, giz,
@@ -491,46 +450,19 @@ class _TraversalKernel:
             left_is_leaf, right_is_leaf = child_is_leaf[:size], child_is_leaf[size:]
 
             # Internal children are pushed (far below near so the near child
-            # pops next); leaf children are intersected immediately below.
+            # pops next) at the lane's post-pop stack top; leaf children are
+            # intersected immediately below.
             push_left = hit_left & ~left_is_leaf
             push_right = hit_right & ~right_is_leaf
             both = push_left & push_right
-            pushes = np.add(push_left, push_right, dtype=np.int64)
+            pushes = np.add(push_left, push_right, dtype=np.int32)
             left_is_far = t_left > t_right
             first_is_left = push_left & (~both | left_is_far)
             first_node = np.where(first_is_left, left, right)
             first_entry = np.where(first_is_left, t_left, t_right)
 
-            # Stack write positions: with one pop per lane, slots are unique
-            # and pushes land directly at the (post-pop) stack top.  With the
-            # multi-pop tail window, virtual pops of one lane are adjacent in
-            # `group` with the DFS-next (top) pop first, so each pop's pushes
-            # land above the pushes of all deeper pops of the same lane.
-            if pops == 1:
-                seg_slots = slots
-                seg_pushes = pushes
-                position = stack_tops if identity else stack_tops.take(slots)
-            else:
-                first_of_slot = np.empty(size, dtype=bool)
-                first_of_slot[0] = True
-                np.not_equal(slots[1:], slots[:-1], out=first_of_slot[1:])
-                seg_starts = np.flatnonzero(first_of_slot)
-                cumulative = np.cumsum(pushes)
-                segment_of = np.cumsum(first_of_slot) - 1
-                seg_last = np.append(seg_starts[1:], size) - 1
-                pushed_below = cumulative.take(seg_last).take(segment_of) - cumulative
-                seg_slots = slots.take(seg_starts)
-                seg_pushes = np.add.reduceat(pushes, seg_starts)
-                position = stack_tops.take(slots) + pushed_below
-
-            new_seg_tops = stack_tops.take(seg_slots) + seg_pushes
-            required = int(new_seg_tops.max(initial=0))
-            if required > self.max_stack:
-                # The multi-pop window expands several subtrees at once, so
-                # depth-based sizing can be exceeded on densely overlapping
-                # geometry; widen every lane's stack before writing.
-                flat_node, flat_entry = self._grow_stack(lanes, required + 2 * self.max_pops)
-            assert required <= self.max_stack, "traversal stack overflow"
+            new_tops = position + pushes
+            assert int(new_tops.max(initial=0)) <= self.max_stack, "traversal stack overflow"
             first_sel = np.flatnonzero(pushes)
             write = slots.take(first_sel) * self.max_stack + position.take(first_sel)
             flat_node[write] = first_node.take(first_sel)
@@ -542,7 +474,10 @@ class _TraversalKernel:
                 write = slots.take(second_sel) * self.max_stack + position.take(second_sel) + 1
                 flat_node[write] = near_node.take(second_sel)
                 flat_entry[write] = near_entry.take(second_sel)
-            s["stack_tops"][seg_slots] = new_seg_tops
+            if identity:
+                s["stack_tops"] = new_tops
+            else:
+                stack_tops[slots] = new_tops
 
             # Leaf children: one merged slot-ordered batch per iteration.
             candidate_mask = np.empty(2 * size, dtype=bool)
@@ -597,9 +532,7 @@ def _traverse(
 
     kernel = _TraversalKernel(bvh, mesh, dtype, t_min, any_hit_mode)
     limit_t = np.broadcast_to(np.asarray(t_max, dtype=dtype), (n_rays,)).copy()
-    lanes = _frontier_lanes(
-        origins, directions, limit_t, dtype, kernel.initial_stack, kernel.t_min
-    )
+    lanes = _frontier_lanes(kernel, origins, directions, limit_t, dtype)
     FrontierEngine().run(kernel, lanes, outputs)
     return record
 

@@ -52,7 +52,21 @@ __all__ = ["PredictionServer", "start_server", "build_parser", "main"]
 #: Default watcher poll interval (seconds).
 DEFAULT_RELOAD_POLL_S = 0.5
 
-_STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed"}
+#: Largest request header accepted (request line plus fields, in bytes).
+MAX_HEADER_BYTES = 64 * 1024
+
+#: Largest request body accepted, in bytes.  The biggest in-tree client body,
+#: a 32-configuration ``{"configs": [...]}`` group, is about 5 KB.
+MAX_BODY_BYTES = 4 * 1024 * 1024
+
+_STATUS_TEXT = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
+}
 
 
 def _response_bytes(status: int, body: bytes) -> bytes:
@@ -219,17 +233,30 @@ class PredictionServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+    def _refuse(self, conn: _Connection, status: int, code: str, message: str) -> None:
+        """Answer one structured error; returning ``None`` closes the connection."""
+        self.requests += 1
+        self.errors += 1
+        conn.fill(conn.reserve(), _error_response(status, code, message))
+        return None
+
     def _dispatch(self, buffer: bytes, conn: _Connection) -> bytes | None:
         """Route every complete request in ``buffer`` and return the unparsed rest.
 
         A ``Content-Length`` that is not ASCII digits makes the framing of
-        everything after it unknowable: it is answered with one 400 and
+        everything after it unknowable: it is answered with one 400.  A header
+        longer than :data:`MAX_HEADER_BYTES` gets one 431 and a declared body
+        longer than :data:`MAX_BODY_BYTES` one 413, before the rest arrives,
+        so no client can grow the buffer past the caps.  In all three cases
         ``None`` is returned so the caller closes the connection.
         """
         while True:
             header_end = buffer.find(b"\r\n\r\n")
-            if header_end < 0:
+            if header_end < 0 and len(buffer) <= MAX_HEADER_BYTES:
                 return buffer
+            if header_end < 0 or header_end > MAX_HEADER_BYTES:
+                message = f"request header exceeds {MAX_HEADER_BYTES} bytes"
+                return self._refuse(conn, 431, "header-too-large", message)
             header = buffer[:header_end]
             length = 0
             lowered = header.lower()
@@ -240,12 +267,13 @@ class PredictionServer:
                     line_end = len(lowered)
                 value = lowered[marker + 15 : line_end].strip()
                 if not value.isdigit():
-                    self.requests += 1
-                    self.errors += 1
-                    message = "Content-Length must be ASCII digits"
-                    conn.fill(conn.reserve(), _error_response(400, "bad-request", message))
-                    return None
-                length = int(value)
+                    return self._refuse(conn, 400, "bad-request", "Content-Length must be ASCII digits")
+                # Compare digit counts first: int() refuses very long strings.
+                digits = value.lstrip(b"0") or b"0"
+                if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+                    message = f"request body exceeds {MAX_BODY_BYTES} bytes"
+                    return self._refuse(conn, 413, "body-too-large", message)
+                length = int(digits)
             total = header_end + 4 + length
             if len(buffer) < total:
                 return buffer

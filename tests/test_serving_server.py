@@ -12,7 +12,7 @@ from repro.reporting import ModelSuite
 from repro.serving.batching import BatchRequest, MicroBatcher
 from repro.serving.client import ServingClient, read_response, request_bytes
 from repro.serving.core import ModelHandle, ServingCore, canonical_config
-from repro.serving.server import start_server
+from repro.serving.server import MAX_BODY_BYTES, MAX_HEADER_BYTES, start_server
 
 
 def _fit_suite(seed: int) -> ModelSuite:
@@ -239,6 +239,44 @@ class TestHttpSurface:
                 status, body = await asyncio.wait_for(read_response(reader), timeout=5.0)
                 assert status == 400 and json.loads(body)["error"]["code"] == "bad-request"
                 # The pipelined request after the bad one is not answered.
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+                writer.close()
+                client = await ServingClient.connect(server.host, server.port)
+                status, health = await asyncio.wait_for(client.request("GET", "/healthz"), timeout=5.0)
+                assert status == 200 and health["status"] == "ok"
+                await client.close()
+                assert server.errors == 1
+            finally:
+                await server.close()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("oversize", ["header", "body", "body-digits"])
+    def test_oversized_request_is_refused_and_closed(self, models_path, oversize):
+        """Past the header or body cap: one 431/413 and a close; the server keeps serving.
+
+        Each request is exactly what the server reads before refusing, so the
+        close leaves no unread bytes behind (which would reset the socket).
+        """
+        if oversize == "header":
+            # No blank line ever arrives: one byte past the header cap.
+            prefix = b"GET /healthz HTTP/1.1\r\nX-Pad: "
+            request = prefix + b"a" * (MAX_HEADER_BYTES + 1 - len(prefix))
+            expected = (431, "header-too-large")
+        else:
+            # The declared body is refused before any of it is sent.
+            length = str(MAX_BODY_BYTES + 1) if oversize == "body" else "9" * 5000
+            request = f"POST /predict HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+            expected = (413, "body-too-large")
+
+        async def scenario():
+            server = await start_server(models_path, watch=False)
+            try:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(request)
+                await writer.drain()
+                status, body = await asyncio.wait_for(read_response(reader), timeout=5.0)
+                assert (status, json.loads(body)["error"]["code"]) == expected
                 assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
                 writer.close()
                 client = await ServingClient.connect(server.host, server.port)

@@ -173,9 +173,9 @@ class TestDeepStacks:
 class TestDenseOverlap:
     def test_colocated_cluster_grows_stack(self, rng):
         # ~1k near-identical triangles make every node box overlap every ray,
-        # so the multi-pop tail window expands BFS-style far past the
-        # depth-based stack sizing; the engine must widen stacks on demand
-        # instead of overflowing into neighboring lanes.
+        # so every lane pushes both children at every level: the stacks fill
+        # to the depth + 1 bound that one-pop ordered traversal guarantees,
+        # and must not overflow into neighboring lanes.
         jitter = rng.normal(scale=1e-3, size=(1024, 3, 3))
         base = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         corners = base[None, :, :] + jitter
@@ -186,6 +186,163 @@ class TestDenseOverlap:
         origins = np.tile([0.25, 0.25, 2.0], (600, 1))
         directions = np.tile([0.0, 0.0, -1.0], (600, 1))
         _assert_matches_brute_force(bvh, mesh, origins, directions)
+
+
+def _soup(rng, count: int, planar: bool = False) -> TriangleMesh:
+    """Random triangles in the unit cube (all at z = 0.5 when ``planar``)."""
+    corners = rng.uniform(0.0, 1.0, size=(count, 3, 3))
+    corners = corners[:, :1] + 0.2 * (corners - corners[:, :1])
+    if planar:
+        corners[..., 2] = 0.5
+    vertices = corners.reshape(-1, 3)
+    return TriangleMesh(vertices, np.arange(len(vertices)).reshape(-1, 3))
+
+
+def _cull_rays(rng, count: int):
+    """Rays that miss the unit cube, graze it, cross it, or start inside it."""
+    quarter = count // 4
+    # Miss: start beside the cube and travel away from it.
+    miss_origins = rng.uniform(2.0, 3.0, size=(quarter, 3))
+    miss_dirs = rng.uniform(0.1, 1.0, size=(quarter, 3))
+    # Graze: travel inside the z = 0.5 plane or along the cube's faces.
+    graze_origins = rng.uniform(0.0, 1.0, size=(quarter, 3))
+    graze_origins[:, 0] = -1.0
+    graze_origins[: quarter // 2, 2] = 0.5
+    graze_origins[quarter // 2 :, 1] = rng.choice([0.0, 1.0], size=quarter - quarter // 2)
+    graze_dirs = np.tile([1.0, 0.0, 0.0], (quarter, 1))
+    # Cross: from above the cube down through it.
+    cross_origins = rng.uniform(0.0, 1.0, size=(quarter, 3))
+    cross_origins[:, 2] = 3.0
+    cross_dirs = np.column_stack(
+        [rng.normal(scale=0.2, size=(quarter, 2)), -np.ones(quarter)]
+    )
+    # Inside: start within the cube in any direction.
+    inside = count - 3 * quarter
+    inside_origins = rng.uniform(0.05, 0.95, size=(inside, 3))
+    inside_dirs = rng.normal(size=(inside, 3))
+    origins = np.concatenate([miss_origins, graze_origins, cross_origins, inside_origins])
+    directions = np.concatenate([miss_dirs, graze_dirs, cross_dirs, inside_dirs])
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return origins, directions, slice(0, quarter)
+
+
+def _face_grazing_rays(mesh: TriangleMesh):
+    """Rays through the mesh's lowest vertex on each axis, travelling inside
+    the root box's low face planes: the rays a box test one ulp too tight
+    would lose.
+
+    (A ray lying in a *high* face plane has a zero direction component whose
+    slab interval collapses to ``[-inf, 0]``, so every box test misses it --
+    a limitation of the slab test, not of the root cull.)
+    """
+    vertices = mesh.vertices
+    origins, directions = [], []
+    for axis in range(3):
+        vertex = vertices[vertices[:, axis].argmin()]
+        if np.any(vertex == vertices.max(axis=0)):
+            continue
+        for along in range(3):
+            if along != axis:
+                step = np.eye(3)[along]
+                origins += [vertex - 3.0 * step, vertex + 3.0 * step]
+                directions += [step, -step]
+    return np.array(origins), np.array(directions)
+
+
+class TestRootCull:
+    """Rays are slab-tested against the root box before traversal starts.
+
+    The cull must be exact: every query equals the brute-force intersector,
+    and only rays that cannot reach any node report zero visits.
+    """
+
+    @pytest.mark.parametrize("planar", [False, True])
+    @pytest.mark.parametrize("leaf_size", [1, 4])
+    def test_closest_hit_float64_exact(self, rng, planar, leaf_size):
+        mesh = _soup(rng, 200, planar)
+        bvh = build_bvh(mesh, leaf_size=leaf_size)
+        origins, directions, missing = _cull_rays(rng, 400)
+        fast = closest_hit(bvh, mesh, origins, directions)
+        slow = brute_force_closest_hit(mesh, origins, directions)
+        assert np.array_equal(fast.triangle, slow.triangle)
+        assert np.array_equal(fast.t, slow.t)
+        hit = fast.hit_mask
+        assert np.array_equal(fast.u[hit], slow.u[hit])
+        assert np.array_equal(fast.v[hit], slow.v[hit])
+        assert hit.any() and not hit[missing].any()
+        assert (fast.nodes_visited[missing] == 0).all()
+        assert (fast.nodes_visited[hit] >= 1).all()
+
+    def test_planar_mesh_hits_through_zero_thickness_root(self, rng):
+        mesh = _soup(rng, 120, planar=True)
+        bvh = build_bvh(mesh)
+        assert bvh.node_low[0, 2] == bvh.node_high[0, 2]
+        targets = mesh.centroids()
+        origins = targets + np.array([0.0, 0.0, 1.0])
+        directions = np.tile([0.0, 0.0, -1.0], (len(targets), 1))
+        fast = closest_hit(bvh, mesh, origins, directions)
+        slow = brute_force_closest_hit(mesh, origins, directions)
+        assert fast.hit_mask.all()
+        assert np.array_equal(fast.triangle, slow.triangle)
+        assert np.array_equal(fast.t, slow.t)
+
+    def test_rays_grazing_root_faces(self, rng):
+        mesh = _soup(rng, 200)
+        bvh = build_bvh(mesh)
+        origins, directions = _face_grazing_rays(mesh)
+        assert len(origins) >= 8
+        fast = closest_hit(bvh, mesh, origins, directions)
+        slow = brute_force_closest_hit(mesh, origins, directions)
+        assert slow.hit_mask.all()
+        assert np.array_equal(fast.triangle, slow.triangle)
+        assert np.array_equal(fast.t, slow.t)
+        assert any_hit(bvh, mesh, origins, directions).all()
+
+    @pytest.mark.parametrize("planar", [False, True])
+    def test_per_ray_t_max(self, rng, planar):
+        mesh = _soup(rng, 200, planar)
+        bvh = build_bvh(mesh)
+        origins, directions, _ = _cull_rays(rng, 400)
+        # Limits from well short of the box (culled by t_max alone) to beyond it.
+        t_max = rng.uniform(0.0, 4.0, size=len(origins))
+        fast = closest_hit(bvh, mesh, origins, directions, t_max=t_max)
+        slow = brute_force_closest_hit(mesh, origins, directions, t_max=t_max)
+        assert np.array_equal(fast.triangle, slow.triangle)
+        assert np.array_equal(fast.t, slow.t)
+        occluded = any_hit(bvh, mesh, origins, directions, t_max=t_max)
+        assert np.array_equal(occluded, slow.hit_mask)
+        assert occluded.any() and not occluded.all()
+
+    @pytest.mark.parametrize("planar", [False, True])
+    def test_float32_matches_brute_force(self, rng, planar):
+        mesh = _soup(rng, 200, planar)
+        bvh = build_bvh(mesh)
+        origins, directions, missing = _cull_rays(rng, 400)
+        fast = closest_hit(bvh, mesh, origins, directions, dtype=np.float32)
+        slow = brute_force_closest_hit(mesh, origins, directions)
+        # Rays that pass within float32 roundoff of a triangle edge may
+        # legitimately differ; everything else agrees.
+        agree = fast.triangle == slow.triangle
+        assert agree.mean() > 0.98
+        assert np.allclose(fast.t[agree & slow.hit_mask], slow.t[agree & slow.hit_mask], rtol=1e-5)
+        assert not fast.hit_mask[missing].any()
+        assert (fast.nodes_visited[missing] == 0).all()
+        occluded = any_hit(bvh, mesh, origins, directions, dtype=np.float32)
+        assert np.array_equal(occluded, fast.hit_mask)
+
+    def test_single_leaf_root_is_not_culled(self, rng):
+        mesh = _soup(rng, 3)
+        bvh = build_bvh(mesh, leaf_size=4)
+        assert bvh.num_nodes == 1
+        origins, directions, _ = _cull_rays(rng, 200)
+        fast = closest_hit(bvh, mesh, origins, directions)
+        slow = brute_force_closest_hit(mesh, origins, directions)
+        assert np.array_equal(fast.triangle, slow.triangle)
+        assert np.array_equal(fast.t, slow.t)
+        # The single leaf is intersected directly: every ray visits it.
+        assert (fast.nodes_visited > 0).all()
+        occluded = any_hit(bvh, mesh, origins, directions)
+        assert np.array_equal(occluded, slow.hit_mask)
 
 
 class TestGeometryCacheInvalidation:
