@@ -1,10 +1,10 @@
 """Thousand-rank streaming compositing: the CI scale gate and its perf keys.
 
 Companion to ``bench_compositing_throughput.py`` for the cohort scheduler:
-where that module measures the run-length engine against the dense reference
+where that module measures ``Compositor.composite`` against the dense reference
 at 64-256 ranks, this one drives
 :meth:`repro.compositing.Compositor.composite_streaming` at 1k-16k simulated
-ranks, where no dense engine fits in memory.  Three entry points:
+ranks, where holding every rank image no longer fits in memory.  Three entry points:
 
 CI smoke (the ``compositing-scale-smoke`` job):
 

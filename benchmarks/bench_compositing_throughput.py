@@ -1,4 +1,4 @@
-"""Sort-last compositing throughput: run-length engine vs the dense reference.
+"""Sort-last compositing throughput: the cohort engine vs the dense reference.
 
 Companion to ``bench_traversal_throughput.py`` / ``bench_volume_throughput.py``
 for the compositing side of the perf trajectory.  It drives all three
@@ -10,7 +10,7 @@ baseline is the actual pre-refactor code measured on the same machine and
 images, the reported speedups are load-independent.
 
 Per-rank fill follows the Section 5.8 mapping (``0.55 / P^(1/3)`` of the
-pixels, a contiguous screen block per rank), so the run-length engine's
+pixels, a contiguous screen block per rank), so the cohort engine's
 advantage reflects exactly the sparsity a weak-scaled sort-last render
 produces.
 
@@ -48,7 +48,7 @@ COMPOSITING_RANK_COUNTS = (64, 128, 256)
 #: to time at every scale) and the speedup floor is asserted.
 REFERENCE_RANK_COUNT = 64
 
-#: Acceptance floor: the run-length engine must be at least this much faster
+#: Acceptance floor: the cohort engine must be at least this much faster
 #: than ``composite_reference`` aggregated over the three algorithms at
 #: 64 ranks / 256^2.
 SPEEDUP_FLOOR_64 = 3.0
@@ -80,7 +80,7 @@ def synthetic_sub_images(tasks: int, size: int, seed: int = 2016) -> list[Frameb
     return framebuffers
 
 
-def _composite(algorithm: str, framebuffers: list[Framebuffer], engine: str):
+def _composite(algorithm: str, framebuffers: list[Framebuffer], engine: str = "cohort"):
     visibility = list(np.arange(len(framebuffers), dtype=np.float64))
     return Compositor(algorithm).composite(
         framebuffers, mode="over", visibility_order=visibility, engine=engine
@@ -88,13 +88,13 @@ def _composite(algorithm: str, framebuffers: list[Framebuffer], engine: str):
 
 
 def measure_algorithm(algorithm: str, tasks: int, size: int, repeats: int = 3) -> dict:
-    """Best-of-``repeats`` wall clock for the run-length engine (plus traffic)."""
+    """Best-of-``repeats`` wall clock for the cohort engine (plus traffic)."""
     framebuffers = synthetic_sub_images(tasks, size)
-    result = _composite(algorithm, framebuffers, "runlength")  # warm
+    result = _composite(algorithm, framebuffers)  # warm
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        result = _composite(algorithm, framebuffers, "runlength")
+        result = _composite(algorithm, framebuffers)
         best = min(best, time.perf_counter() - start)
     return {
         "seconds": best,
@@ -121,12 +121,12 @@ def measure_reference_speedups(size: int = COMPOSITING_IMAGE_SIZE, repeats: int 
     record: dict = {"per_algorithm": {}}
     total_fast = total_reference = 0.0
     for algorithm in ALGORITHMS:
-        fast = _composite(algorithm, framebuffers, "runlength")
+        fast = _composite(algorithm, framebuffers)
         gc.collect()
         fast_times = []
         for _ in range(repeats):
             start = time.perf_counter()
-            fast = _composite(algorithm, framebuffers, "runlength")
+            fast = _composite(algorithm, framebuffers)
             fast_times.append(time.perf_counter() - start)
         reference = _composite(algorithm, framebuffers, "reference")
         gc.collect()
@@ -137,7 +137,7 @@ def measure_reference_speedups(size: int = COMPOSITING_IMAGE_SIZE, repeats: int 
             reference_times.append(time.perf_counter() - start)
         assert np.allclose(
             fast.framebuffer.rgba, reference.framebuffer.rgba, atol=1e-10, rtol=0.0
-        ), f"{algorithm}: run-length engine diverged from composite_reference"
+        ), f"{algorithm}: cohort engine diverged from composite_reference"
         best_fast, best_reference = min(fast_times), min(reference_times)
         total_fast += best_fast
         total_reference += best_reference
@@ -164,11 +164,11 @@ def measure_all() -> dict:
 
 
 def verify_compositing_differential(tasks: int = 12, size: int = 48) -> None:
-    """Run-length engine must match the dense reference in both modes."""
+    """The cohort engine must match the dense reference in both modes."""
     rng = np.random.default_rng(7)
     for algorithm in ALGORITHMS:
         framebuffers = synthetic_sub_images(tasks, size, seed=11)
-        fast = _composite(algorithm, framebuffers, "runlength")
+        fast = _composite(algorithm, framebuffers)
         slow = _composite(algorithm, framebuffers, "reference")
         assert np.allclose(fast.framebuffer.rgba, slow.framebuffer.rgba, atol=1e-10, rtol=0.0)
         # Depth (z-buffer) mode on scattered-coverage images.
@@ -190,7 +190,7 @@ def smoke(tasks: int = 4, size: int = 64) -> None:
     """CI smoke: exercise the fast path and differential contract cheaply."""
     verify_compositing_differential(tasks=tasks, size=size)
     for algorithm in ALGORITHMS:
-        result = _composite(algorithm, synthetic_sub_images(tasks, size), "runlength")
+        result = _composite(algorithm, synthetic_sub_images(tasks, size))
         assert result.bytes_exchanged > 0 and result.messages > 0
     print(f"compositing smoke ok ({tasks} ranks at {size}^2, all algorithms within 1e-10)")
 
@@ -214,7 +214,7 @@ def test_compositing_throughput():
         for key, record in results.items()
     ]
     print_table(
-        "Compositing throughput (run-length engine, over mode, 256^2)",
+        "Compositing throughput (cohort engine, over mode, 256^2)",
         ["configuration", "ranks", "seconds", "Mpix/s", "MB exchanged", "messages"],
         rows,
     )
@@ -228,7 +228,7 @@ def test_compositing_throughput():
          f"{speedups['aggregate_speedup']:.2f}x"]
     )
     print_table(
-        f"Run-length engine vs composite_reference ({REFERENCE_RANK_COUNT} ranks, 256^2)",
+        f"Cohort engine vs composite_reference ({REFERENCE_RANK_COUNT} ranks, 256^2)",
         ["algorithm", "fast s", "reference s", "speedup"],
         speedup_rows,
     )

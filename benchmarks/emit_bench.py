@@ -14,14 +14,15 @@ Covers both hot paths of the frontier kernel engine:
   192^2 over the Table 6 scene pool, verified against (and timed against)
   the pre-refactor monolithic loops each renderer keeps in-tree as
   ``render_reference``.
-* **compositing** -- the run-length sort-last compositing engine at 64-256
+* **compositing** -- the sort-last cohort compositing engine at 64-256
   simulated ranks and 256^2 pixels with all three exchange algorithms
   (direct-send, binary-swap, radix-k), verified against and timed against
   the dense per-run drivers kept in-tree as ``composite_reference``.
 * **compositing_scale** -- the streaming cohort scheduler at 1,024 and
   4,096 simulated ranks (ranks/s plus the 1k peak traced allocation),
-  where the dense engines no longer fit; bit-exactness against the dense
-  oracle is pinned by the tier-1 suite rather than re-verified here.
+  where holding every rank image no longer fits; bit-exactness against
+  the dense oracle is pinned by the tier-1 suite rather than re-verified
+  here.
 
 The record supersedes the ray-tracing-only ``BENCH_raytracer.json`` of PR 1.
 """
@@ -56,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     # Compositing first: its fast-vs-reference ratio is the most
     # state-sensitive measurement, so take it before the render verifications
     # and sweeps churn the allocator.
-    print("verifying the run-length compositing engine against composite_reference ...")
+    print("verifying the cohort compositing engine against composite_reference ...")
     compositing_bench.verify_compositing_differential()
     print("measuring compositing throughput ...")
     compositing_speedups = compositing_bench.measure_reference_speedups()

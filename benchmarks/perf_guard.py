@@ -1,9 +1,9 @@
 """Smoke perf-regression guard against the checked-in BENCH records.
 
 Re-measures a CI-sized subset of the render-throughput trajectory (the 96^2
-workloads, the structured volume caster, and 64-rank compositing, from
-``BENCH_render.json``) plus the prediction-serving tier's smoke load (from
-``BENCH_serving.json``) and fails when any number regresses by more than the
+workloads, the structured volume caster, and 64-rank cohort-engine
+compositing, from ``BENCH_render.json``) plus the prediction-serving tier's
+smoke load (from ``BENCH_serving.json``) and fails when any number regresses by more than the
 tolerance (default 30%) against the records' ``current`` sections:
 
     python -m benchmarks.perf_guard [--tolerance 0.30] [--against BENCH_render.json]

@@ -1,25 +1,28 @@
 """The three sort-last exchange algorithms over run-length sub-images.
 
-* :func:`direct_send` -- every rank is assigned one contiguous run of pixels
-  and receives that run from every other rank in a single exchange round
+* direct-send -- every rank is assigned one contiguous run of pixels and
+  receives that run from every other rank in a single exchange round
   (Neumann 1993).
-* :func:`binary_swap` -- log2(P) rounds of pairwise half-image exchanges
-  (Ma et al. 1994); non-power-of-two task counts are handled with an initial
-  fold phase that pairs up the trailing ranks.
-* :func:`radix_k` -- the generalisation of Peterka et al. used by IceT and by
-  the paper's experiments: the task count is factored into radices and each
-  round performs a k-way exchange within groups of k ranks.
+* binary-swap -- log2(P) rounds of pairwise half-image exchanges (Ma et al.
+  1994); non-power-of-two task counts are handled with an initial fold phase
+  that pairs up the trailing ranks.
+* radix-k -- the generalisation of Peterka et al. used by IceT and by the
+  paper's experiments: the task count is factored into radices and each round
+  performs a k-way exchange within groups of k ranks.
 
-This is the *fast* data path: per-rank images are
+One engine runs all three: the cohort scheduler (:func:`direct_send_streaming`,
+:func:`binary_swap_streaming`, :func:`radix_k_streaming`).  Rank images are
 :class:`~repro.compositing.runimage.RunImage` (contiguous active-pixel runs
-with an SoA payload), a round's traffic is posted as one batched array-valued
-:meth:`~repro.runtime.communicator.SimulatedCommunicator.exchange`, and a
-round's merges resolve in one :func:`~repro.compositing.merge.merge_groups`
+with an SoA payload) drawn from a ``factory(position)`` callback in bounded
+cohorts; a round's traffic is posted as batched array-valued
+:meth:`~repro.runtime.communicator.SimulatedCommunicator.exchange` calls, and
+a round's merges resolve in one :func:`~repro.compositing.merge.merge_groups`
 call -- O(rounds) array operations instead of O(pixels · pieces) Python work.
-The communication pattern (who sends which run to whom, and where the round
-boundaries fall) is identical to the dense reference drivers in
-:mod:`repro.compositing.reference`, which the differential tests hold this
-module to within 1e-10.
+:meth:`~repro.compositing.compositor.Compositor.composite` runs it with every
+image live (one cohort).  The communication pattern (who sends which run to
+whom, and where the round boundaries fall) is identical to the dense
+reference drivers in :mod:`repro.compositing.reference`, the oracle the
+differential tests hold this module to within 1e-10.
 
 Ordering note: the OVER operator is only associative when every pairwise
 merge combines fragments that are adjacent and contiguous in visibility
@@ -40,10 +43,6 @@ from repro.compositing.runimage import RunImage, payload_fragments
 from repro.runtime.communicator import SimulatedCommunicator
 
 __all__ = [
-    "direct_send",
-    "binary_swap",
-    "radix_k",
-    "assemble_at_root",
     "factor_radices",
     "validate_radices",
     "RadixFactorError",
@@ -153,196 +152,9 @@ def _with_depth(mode: str) -> bool:
     return mode == "depth"
 
 
-def assemble_at_root(
-    owned: dict[int, tuple[int, int]],
-    images: list[RunImage],
-    comm: SimulatedCommunicator,
-    mode: str,
-) -> RunImage:
-    """Gather each rank's owned run at rank 0 and assemble the final run image.
-
-    ``owned`` maps rank to its ``(start, stop)`` interval; the intervals tile
-    ``[0, num_pixels)``, so concatenating the pieces (sorted by pixel) yields
-    the complete composited image.
-    """
-    comm.next_round()
-    sends = []
-    for rank, (start, stop) in sorted(owned.items()):
-        if rank == 0 or start >= stop:
-            continue
-        payload, nbytes = images[rank].piece_message(start, stop, with_depth=_with_depth(mode))
-        sends.append((rank, 0, payload, nbytes))
-    delivered = comm.exchange(sends)
-
-    start, stop = owned.get(0, (0, 0))
-    pieces = [images[0].fragments(start, stop)] if stop > start else []
-    for _, payload in delivered.get(0, []):
-        pixels, rgba, depth, _ = payload_fragments(payload)
-        pieces.append((pixels, rgba, depth))
-    pieces = [piece for piece in pieces if len(piece[0])]
-    if not pieces:
-        empty = np.empty(0, dtype=np.int64)
-        return RunImage.from_arrays(empty, np.empty((0, 4)), np.empty(0), images[0].width, images[0].height)
-    all_pixels = np.concatenate([piece[0] for piece in pieces])
-    order = np.argsort(all_pixels, kind="stable")  # owned intervals are disjoint
-    if mode == "depth":
-        depth = np.concatenate([piece[2] for piece in pieces])[order]
-    else:
-        depth = np.zeros(len(all_pixels))  # over-mode depth lives in the keys
-    return RunImage.from_arrays(
-        all_pixels[order],
-        np.concatenate([piece[1] for piece in pieces])[order],
-        depth,
-        images[0].width,
-        images[0].height,
-    )
-
-
-def direct_send(
-    images: list[RunImage], comm: SimulatedCommunicator, mode: str
-) -> tuple[RunImage, int]:
-    """Direct-send compositing; returns ``(final_image_at_root, merge_operations)``."""
-    size = comm.size
-    if len(images) != size:
-        raise ValueError("need exactly one sub-image per rank")
-    num_pixels = images[0].num_pixels
-    partition = _pixel_partition(num_pixels, size)
-
-    # One exchange round: every rank sends every other rank's run to its owner.
-    edges = np.array([start for start, _ in partition] + [num_pixels], dtype=np.int64)
-    sends = []
-    for source in range(size):
-        messages = images[source].piece_table(edges, with_depth=_with_depth(mode))
-        for owner in range(size):
-            if owner == source:
-                continue
-            start, stop = partition[owner]
-            if start >= stop:
-                continue
-            payload, nbytes = messages[owner]
-            sends.append((source, owner, payload, nbytes))
-    delivered = comm.exchange(sends)
-
-    # Every owner's fold resolves in one batched merge across all owners.
-    groups = []
-    for owner in range(size):
-        start, stop = partition[owner]
-        if start >= stop:
-            continue
-        own_pixels, own_rgba, own_depth = images[owner].fragments(start, stop)
-        fragment_sets = [(owner, own_pixels, own_rgba, own_depth)]
-        for source, payload in delivered.get(owner, []):
-            pixels, rgba, depth, _ = payload_fragments(payload)
-            fragment_sets.append((source, pixels, rgba, depth))
-        groups.append((owner, fragment_sets))
-    resolved, merges = merge_groups(groups, num_pixels, mode)
-    for owner, _ in groups:
-        images[owner] = _replace_image(images[owner], resolved[owner])
-
-    owned = {rank: partition[rank] for rank in range(size)}
-    final = assemble_at_root(owned, images, comm, mode)
-    return final, merges
-
-
-def binary_swap(
-    images: list[RunImage], comm: SimulatedCommunicator, mode: str
-) -> tuple[RunImage, int]:
-    """Binary-swap compositing with a pairing fold for non-power-of-two task counts."""
-    size = comm.size
-    if len(images) != size:
-        raise ValueError("need exactly one sub-image per rank")
-    num_pixels = images[0].num_pixels
-    merges = 0
-
-    power = 1
-    while power * 2 <= size:
-        power *= 2
-    extra = size - power
-
-    # Fold phase: the trailing 2*extra ranks are merged pairwise so that the
-    # remaining participants hold contiguous runs of the visibility order.
-    participants = list(range(size - 2 * extra))
-    if extra:
-        pair_ranks = list(range(size - 2 * extra, size))
-        pairs = list(zip(pair_ranks[0::2], pair_ranks[1::2]))
-        sends = []
-        for first, second in pairs:
-            payload, nbytes = images[second].piece_message(0, num_pixels, with_depth=_with_depth(mode))
-            sends.append((second, first, payload, nbytes))
-        delivered = comm.exchange(sends)
-        groups = []
-        for first, second in pairs:
-            own_pixels, own_rgba, own_depth = images[first].fragments(0, num_pixels)
-            _, payload = delivered[first][0]
-            pixels, rgba, depth, _ = payload_fragments(payload)
-            groups.append((first, [(first, own_pixels, own_rgba, own_depth), (second, pixels, rgba, depth)]))
-            participants.append(first)
-        resolved, folded = merge_groups(groups, num_pixels, mode)
-        merges += folded
-        for first, _ in groups:
-            images[first] = _replace_image(images[first], resolved[first])
-        comm.next_round()
-    assert len(participants) == power
-
-    # Swap rounds over participant indices (participants are visibility-ordered).
-    owned = {index: (0, num_pixels) for index in range(power)}
-    rounds = int(np.log2(power)) if power > 1 else 0
-    store = {index: images[participants[index]] for index in range(power)}
-    for round_index in range(rounds):
-        merges += _swap_round(
-            store, owned, participants, range(power), 1 << round_index, comm, mode, num_pixels, None
-        )
-        comm.next_round()
-    for index in range(power):
-        images[participants[index]] = store[index]
-
-    owned_by_rank = {participants[index]: owned[index] for index in range(power)}
-    # Rank 0 is always a participant (index 0), so assembly at rank 0 is valid.
-    final = assemble_at_root(owned_by_rank, images, comm, mode)
-    return final, merges
-
-
-def radix_k(
-    images: list[RunImage],
-    comm: SimulatedCommunicator,
-    mode: str,
-    radices: list[int] | None = None,
-) -> tuple[RunImage, int]:
-    """Radix-k compositing; ``radices`` defaults to a factorisation of the task count.
-
-    The mixed-radix digit layout keeps every exchange group contiguous in the
-    (visibility-ordered) rank numbering, so folding group pieces in digit
-    order preserves OVER correctness.
-    """
-    size = comm.size
-    if len(images) != size:
-        raise ValueError("need exactly one sub-image per rank")
-    num_pixels = images[0].num_pixels
-    if radices is None:
-        radices = factor_radices(size)
-    radices = validate_radices(size, radices)
-    merges = 0
-
-    owned = {rank: (0, num_pixels) for rank in range(size)}
-    digits = {rank: _mixed_radix_digits(rank, radices) for rank in range(size)}
-    store = {rank: images[rank] for rank in range(size)}
-    stride = 1
-    for round_index, radix in enumerate(radices):
-        merges += _radix_round(
-            store, owned, digits, range(size), round_index, radix, stride, comm, mode, num_pixels, None
-        )
-        comm.next_round()
-        stride *= radix
-    for rank in range(size):
-        images[rank] = store[rank]
-
-    final = assemble_at_root(owned, images, comm, mode)
-    return final, merges
-
-
 # ---------------------------------------------------------------------------
-# Shared round bodies (the in-memory drivers above and the cohort scheduler
-# below execute the exact same exchange + merge per round through these).
+# Shared round bodies (every block of the cohort scheduler below executes its
+# exchange + merge per round through these).
 # ---------------------------------------------------------------------------
 
 
@@ -355,16 +167,15 @@ def _swap_round(
     comm: SimulatedCommunicator,
     mode: str,
     num_pixels: int,
-    round_index: int | None,
+    round_index: int,
 ) -> int:
     """One binary-swap round over ``indices`` (participant-index addressed).
 
     ``store`` maps participant index to its current image (full image or
     retired piece -- the pixel-value slicing of ``piece_message`` works on
     both), ``owned`` the index's current interval.  ``round_index`` addresses
-    the communicator log explicitly (cohort blocks revisit one logical round
-    at different wall-clock times); ``None`` records into the current round,
-    which is what the in-memory driver uses.  Returns the merge-op count.
+    the communicator log explicitly, because cohort blocks revisit one
+    logical round at different wall-clock times.  Returns the merge-op count.
     """
     with_depth = _with_depth(mode)
     sends = []
@@ -407,7 +218,7 @@ def _radix_round(
     comm: SimulatedCommunicator,
     mode: str,
     num_pixels: int,
-    log_round: int | None,
+    log_round: int,
 ) -> int:
     """One radix-k round over ``member_ranks`` (rank addressed).
 
@@ -415,8 +226,7 @@ def _radix_round(
     so they share an owned interval; each member keeps piece ``my_digit`` of
     its interval's ``radix``-way partition and receives the matching piece
     from every group partner.  ``log_round`` addresses the communicator log
-    explicitly (``None`` = current round, the in-memory driver's behavior).
-    Returns the merge-op count.
+    explicitly, as in :func:`_swap_round`.  Returns the merge-op count.
     """
     with_depth = _with_depth(mode)
     pieces_of = {}
@@ -460,19 +270,19 @@ def _radix_round(
 # ---------------------------------------------------------------------------
 # The cohort scheduler: streaming/hierarchical execution to thousands of ranks.
 #
-# The in-memory drivers above materialize every rank's RunImage for the whole
-# exchange, which caps the simulated scale near 256 ranks.  The streaming
-# drivers below execute the *same* rounds as a pure reordering: rank images
-# are generated on demand (``factory(position)``), processed in bounded
-# cohorts (generate -> merge -> retire), and only compacted owned-interval
-# pieces survive a cohort.  Because every merge kernel invocation sees the
-# same per-pixel operation chains in the same order -- OVER blends are
-# elementwise and depth selection is an exact (depth, key) tournament -- the
-# streamed result is bit-identical to the in-memory engine (and therefore to
-# the dense reference oracle wherever that still fits), and independent of
-# ``max_live_ranks``.  The memory contract: at most ``max_live_ranks`` full
-# rank images are live at once, plus one transient (the running direct-send
-# partial, or the second member of a non-power-of-two fold pair).
+# Holding every rank's RunImage for the whole exchange caps the simulated
+# scale near 256 ranks.  The drivers below execute the exchange rounds as a
+# pure reordering instead: rank images are generated on demand
+# (``factory(position)``), processed in bounded cohorts (generate -> merge ->
+# retire), and only compacted owned-interval pieces survive a cohort.  Because
+# every merge kernel invocation sees the same per-pixel operation chains in
+# the same order -- OVER blends are elementwise and depth selection is an
+# exact (depth, key) tournament -- the result is independent of
+# ``max_live_ranks``: a budget of P (one cohort, what ``Compositor.composite``
+# uses) and a budget of 1 give the same bytes.  The memory contract: at most
+# ``max_live_ranks`` full rank images are live at once, plus one transient
+# (the running direct-send partial, or the second member of a non-power-of-two
+# fold pair).
 # ---------------------------------------------------------------------------
 
 
@@ -558,7 +368,13 @@ def _assemble_pieces(
     width: int,
     height: int,
 ) -> RunImage:
-    """:func:`assemble_at_root` over retired pieces with explicit round addressing."""
+    """Gather each rank's owned run at rank 0 and assemble the final run image.
+
+    ``owned`` maps rank to its ``(start, stop)`` interval and ``pieces`` to
+    the retired piece holding it; the intervals tile ``[0, num_pixels)``, so
+    concatenating the pieces (sorted by pixel) yields the complete composited
+    image.  Traffic is recorded into round ``round_index``.
+    """
     sends = []
     for rank, (start, stop) in sorted(owned.items()):
         if rank == 0 or start >= stop:
@@ -608,7 +424,7 @@ def direct_send_streaming(
     The scheduler therefore keeps a single running partial over the full
     pixel range and folds each cohort's concatenated fragment bag onto it
     through :func:`~repro.compositing.merge.fold_bag_into_partial` -- the
-    identical operation chain the in-memory owner-band merge performs, split
+    identical operation chain a per-owner band merge would perform, split
     at cohort boundaries.  Wire accounting is aggregated per link (a rank
     posts P-1 messages; enumerating P^2 tuples at 16k ranks is off the
     table) via ``SimulatedCommunicator.record_link_totals``.
@@ -711,7 +527,8 @@ def binary_swap_streaming(
     its owned-interval piece.  Phase 2 runs the remaining cross-block rounds
     over the retired pieces, whose total size is bounded by the per-block
     pixel coverage, not the rank count.  Round traffic is recorded into the
-    same logical round log the in-memory driver produces.
+    same logical round whatever the block size, so the round log does not
+    depend on ``max_live_ranks``.
     """
     if size < 1:
         raise ValueError("streaming composite requires at least one rank")
@@ -727,8 +544,8 @@ def binary_swap_streaming(
     assembly_round = total_rounds - 1
     comm.ensure_rounds(total_rounds)
 
-    # Participant recipes, in the in-memory driver's participant order: plain
-    # leading ranks first, then the first member of each trailing fold pair.
+    # Participant recipes in visibility order: plain leading ranks first, then
+    # the first member of each trailing fold pair.
     recipes: list[tuple] = [("plain", rank) for rank in range(size - 2 * extra)]
     pair_ranks = list(range(size - 2 * extra, size))
     recipes += [("pair", first, second) for first, second in zip(pair_ranks[0::2], pair_ranks[1::2])]

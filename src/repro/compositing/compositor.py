@@ -6,21 +6,25 @@ and reports both the measured local blending time and the modeled network
 time.  The sum of the two is the ``T_COMP`` quantity of the multi-node
 performance model (Section 5.6).
 
-Two interchangeable engines execute the exchange:
+One engine executes the exchange, with one oracle beside it:
 
-* ``"runlength"`` (default) -- the fast data path: per-rank images are
-  compacted to :class:`~repro.compositing.runimage.RunImage` run-length
-  sub-images, rounds exchange array-valued payloads in one batched
-  :meth:`~repro.runtime.communicator.SimulatedCommunicator.exchange`, and
-  merges resolve through the batched dpp kernels of
-  :mod:`repro.compositing.merge`.
+* ``"cohort"`` (default) -- the cohort scheduler of
+  :mod:`repro.compositing.algorithms`: per-rank images are compacted to
+  :class:`~repro.compositing.runimage.RunImage` run-length sub-images, rounds
+  exchange array-valued payloads in batched
+  :meth:`~repro.runtime.communicator.SimulatedCommunicator.exchange` calls,
+  and merges resolve through the batched dpp kernels of
+  :mod:`repro.compositing.merge`.  :meth:`Compositor.composite` hands it a
+  list of already-live images with a budget of one cohort;
+  :meth:`Compositor.composite_streaming` hands it a factory and a smaller
+  budget so rank images need never coexist.
 * ``"reference"`` -- the original dense per-run Python drivers
   (:mod:`repro.compositing.reference`), kept as the differential-testing
-  oracle; the fast engine must match it within 1e-10 on every algorithm,
+  oracle; the cohort engine must match it within 1e-10 on every algorithm,
   mode, and rank count.
 
-Both engines assume the sort-last invariant that every rank renders over the
-same background color, which is what the final image shows wherever no rank
+Both assume the sort-last invariant that every rank renders over the same
+background color, which is what the final image shows wherever no rank
 contributed.
 """
 
@@ -33,11 +37,8 @@ import numpy as np
 from typing import Callable
 
 from repro.compositing.algorithms import (
-    binary_swap,
     binary_swap_streaming,
-    direct_send,
     direct_send_streaming,
-    radix_k,
     radix_k_streaming,
     validate_radices,
 )
@@ -51,19 +52,13 @@ from repro.util.timing import Timer
 
 __all__ = ["CompositeResult", "Compositor"]
 
-_ALGORITHMS = {
-    "direct-send": direct_send,
-    "binary-swap": binary_swap,
-    "radix-k": radix_k,
-}
-
 _STREAMING = {
     "direct-send": direct_send_streaming,
     "binary-swap": binary_swap_streaming,
     "radix-k": radix_k_streaming,
 }
 
-_ENGINES = ("runlength", "reference", "cohort")
+_ENGINES = ("cohort", "reference")
 
 
 @dataclass
@@ -80,11 +75,11 @@ class CompositeResult:
         Network-model estimate of the exchange time (critical path over
         rounds).
     bytes_exchanged, messages:
-        Total simulated traffic.  The run-length engine exchanges compressed
+        Total simulated traffic.  The cohort engine exchanges compressed
         (active-pixel) payloads, so its byte counts are lower than the
         reference engine's dense slabs for the same images.
     merge_operations:
-        Equivalent pairwise pixel merges performed.  The run-length engine
+        Equivalent pairwise pixel merges performed.  The cohort engine
         counts per-pixel fragment folds (fragments minus survivors); the
         reference engine counts dense run merges -- both measure blending
         work, at their own granularity.
@@ -104,11 +99,12 @@ class CompositeResult:
     average_active_pixels: float
     num_tasks: int
     num_pixels: int
-    engine: str = "runlength"
-    #: Cohort-engine bookkeeping (zero on the dense engines): the configured
-    #: live-image budget, the observed peak (contract: at most budget + 1),
-    #: generate->merge->retire batches, and a compact per-round traffic
-    #: summary (the round-log artifact the CI scale gate uploads).
+    engine: str = "cohort"
+    #: Cohort-engine bookkeeping (zero and empty on the reference engine):
+    #: the live-image budget (the rank count for :meth:`Compositor.composite`),
+    #: the observed peak (contract: at most budget + 1), generate->merge->
+    #: retire batches, and a compact per-round traffic summary (the round-log
+    #: artifact the CI scale gate uploads).
     max_live_ranks: int = 0
     peak_live_images: int = 0
     cohorts: int = 0
@@ -143,9 +139,9 @@ class Compositor:
     radices: list[int] | None = None
 
     def __post_init__(self) -> None:
-        if self.algorithm not in _ALGORITHMS:
+        if self.algorithm not in _STREAMING:
             raise ValueError(
-                f"unknown compositing algorithm {self.algorithm!r}; choose from {sorted(_ALGORITHMS)}"
+                f"unknown compositing algorithm {self.algorithm!r}; choose from {sorted(_STREAMING)}"
             )
         if self.radices is not None and self.algorithm != "radix-k":
             raise ValueError("an explicit radix schedule requires algorithm='radix-k'")
@@ -156,7 +152,7 @@ class Compositor:
         mode: str = "depth",
         visibility_order: list[float] | None = None,
         background: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 0.0),
-        engine: str = "runlength",
+        engine: str = "cohort",
     ) -> CompositeResult:
         """Composite one framebuffer per rank into the final image.
 
@@ -170,11 +166,9 @@ class Compositor:
             Required for ``"over"``: smaller values composite in front
             (typically each block's distance from the camera).
         engine:
-            ``"runlength"`` (fast path, default), ``"reference"`` (dense
-            oracle), or ``"cohort"`` (the streaming scheduler running over
-            the same framebuffers -- primarily for differential testing; at
-            scale use :meth:`composite_streaming` so rank images need never
-            coexist).
+            ``"cohort"`` (default: the scheduler over one cohort holding every
+            rank image) or ``"reference"`` (dense oracle).  At scale use
+            :meth:`composite_streaming` so rank images need never coexist.
         """
         if not framebuffers:
             raise ValueError("composite requires at least one framebuffer")
@@ -198,55 +192,39 @@ class Compositor:
 
         if self.radices is not None:
             validate_radices(len(ordered), self.radices)
-        comm = SimulatedCommunicator(len(ordered), self.network)
-        algorithm = _ALGORITHMS[self.algorithm]
         if engine == "cohort":
             images = [
                 run_image_from_framebuffer(framebuffer, mode, key=position)
                 for position, framebuffer in enumerate(ordered)
             ]
             return self.composite_streaming(
-                lambda position: images[position],
+                images.__getitem__,
                 len(ordered),
                 ordered[0].width,
                 ordered[0].height,
                 mode,
+                max_live_ranks=len(ordered),
                 background=background,
                 rank_background=tuple(float(v) for v in ordered[0].background),
             )
-        if engine == "runlength":
-            images = [
-                run_image_from_framebuffer(framebuffer, mode, key=position)
-                for position, framebuffer in enumerate(ordered)
+
+        if mode == "over":
+            sub_images = [
+                from_framebuffer(framebuffer, position) for position, framebuffer in enumerate(ordered)
             ]
-            average_active = float(np.mean([image.active_pixels for image in images]))
-            with Timer() as timer:
-                if self.algorithm == "radix-k":
-                    final, merges = algorithm(images, comm, mode, radices=self.radices)
-                else:
-                    final, merges = algorithm(images, comm, mode)
-            framebuffer = self._assemble(final, mode, len(ordered), ordered[0].background, background)
         else:
-            if mode == "over":
-                sub_images = [
-                    from_framebuffer(framebuffer, position)
-                    for position, framebuffer in enumerate(ordered)
-                ]
-            else:
-                sub_images = [from_framebuffer(framebuffer) for framebuffer in ordered]
-            average_active = float(
-                np.mean(
-                    [int(np.count_nonzero(active_mask(fb.rgba, fb.depth, mode))) for fb in ordered]
-                )
+            sub_images = [from_framebuffer(framebuffer) for framebuffer in ordered]
+        average_active = float(
+            np.mean([int(np.count_nonzero(active_mask(fb.rgba, fb.depth, mode))) for fb in ordered])
+        )
+        comm = SimulatedCommunicator(len(ordered), self.network)
+        with Timer() as timer:
+            dense, merges = composite_reference(
+                self.algorithm, [image.copy() for image in sub_images], comm, mode,
+                radices=self.radices,
             )
-            with Timer() as timer:
-                dense, merges = composite_reference(
-                    self.algorithm, [image.copy() for image in sub_images], comm, mode,
-                    radices=self.radices,
-                )
-            framebuffer = dense.to_framebuffer(background)
         return CompositeResult(
-            framebuffer=framebuffer,
+            framebuffer=dense.to_framebuffer(background),
             local_seconds=timer.elapsed,
             network_seconds=comm.estimate_time(),
             bytes_exchanged=comm.total_bytes(),
@@ -255,7 +233,7 @@ class Compositor:
             average_active_pixels=average_active,
             num_tasks=len(ordered),
             num_pixels=ordered[0].num_pixels,
-            engine=engine,
+            engine="reference",
         )
 
     def composite_streaming(
@@ -276,10 +254,11 @@ class Compositor:
         position ``position`` (ascending = front to back; for depth
         compositing any order works) and is called exactly once per rank, in
         bounded cohorts -- at most ``max_live_ranks`` rank images are live at
-        any point, so 16k simulated ranks fit where the dense engines cap out
-        near 256.  The result is bit-identical to running :meth:`composite`
-        over the same images (the scheduler is a pure reordering of the same
-        merge operations) and invariant to ``max_live_ranks``.
+        any point, so 16k simulated ranks fit where holding every image caps
+        out near 256.  The result is invariant to ``max_live_ranks`` (the
+        scheduler is a pure reordering of the same merge operations), so it
+        is bit-identical to :meth:`composite` over the same images, which
+        runs this method with every image live.
 
         ``rank_background`` is the background the simulated renders used
         (what uncovered pixels show); defaults to ``background``.

@@ -15,8 +15,10 @@ constant number of array operations, through two kernels:
   visibility-key order, the association of the reference's
   ``_ordered_fold``, so results agree to floating-point roundoff (well
   inside the 1e-10 differential tolerance).
-* :func:`merge_fragments` -- the wide-group path (direct-send's P-way
-  folds): one combined-key sort groups the whole round's fragment bag per
+* :func:`merge_fragments` -- the wide-group path (radix-k groups wider than
+  :data:`PAIRWISE_FOLD_MAX_SETS`, i.e. a large prime radix, and through
+  :func:`fold_bag_into_partial` direct-send's P-way fold): one combined-key
+  sort groups the whole round's fragment bag per
   pixel -- every group offset into the disjoint band
   ``group_id * num_pixels + pixel`` -- then the device-routed
   :func:`repro.dpp.primitives.segmented_argmin` picks each pixel's nearest
@@ -38,7 +40,7 @@ from repro.dpp.primitives import gather, segmented_argmin
 __all__ = ["merge_fragments", "merge_sorted_pair", "merge_groups", "fold_bag_into_partial"]
 
 #: Groups with at most this many fragment sets fold pairwise through
-#: :func:`merge_sorted_pair`; wider groups (direct-send) use the sorted bag.
+#: :func:`merge_sorted_pair`; wider groups (a large prime radix) use the sorted bag.
 PAIRWISE_FOLD_MAX_SETS = 8
 
 #: Shared ascending-index pool; slicing it replaces per-merge ``np.arange``
@@ -258,7 +260,7 @@ def fold_bag_into_partial(
     fragments into a bag, folds the bag here, and retires the batch -- so a
     P-way composite never holds more than a cohort of live images plus the
     partial.  The bag must be concatenated in ascending visibility-key order
-    (per pixel), the same precondition the in-memory bag path relies on.
+    (per pixel), the same precondition :func:`merge_fragments` relies on.
 
     ``partial`` is ``None`` (first cohort) or ``(pixels, rgba, depth, keys)``
     with strictly ascending unique pixels.  For ``"over"`` the partial is
@@ -430,7 +432,7 @@ def merge_groups(
     set is ``(key, pixels, rgba, depth)`` with pixel-sorted members
     (``depth`` may be ``None`` in ``"over"`` mode).  Narrow groups (at most
     :data:`PAIRWISE_FOLD_MAX_SETS` sets) fold in ascending key order through
-    :func:`merge_sorted_pair`; wider groups (direct-send) are offset into
+    :func:`merge_sorted_pair`; wider groups (a large prime radix) are offset into
     disjoint pixel bands and resolved in one :func:`merge_fragments` bag.
 
     Returns ``({group_id: (pixels, rgba, depth)}, merge_ops)``.

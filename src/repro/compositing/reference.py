@@ -6,8 +6,8 @@ These are the original pure-Python exchange drivers: every rank holds a dense
 :func:`~repro.compositing.image.composite_pixels` call over a dense slice.
 They are deliberately kept byte-for-byte equivalent to the pre-refactor
 implementation and exposed through :func:`composite_reference`, mirroring the
-``render_reference`` contract of the volume renderers: the run-length fast
-path in :mod:`repro.compositing.algorithms` must stay within ``1e-10`` of
+``render_reference`` contract of the volume renderers: the cohort engine in
+:mod:`repro.compositing.algorithms` must stay within ``1e-10`` of
 this code on every algorithm, mode, and rank count (see
 ``tests/test_compositing_fast.py``).
 

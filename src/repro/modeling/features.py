@@ -39,7 +39,6 @@ __all__ = [
     "feature_arrays",
     "features_from_result",
     "compositing_features_from_result",
-    "contention_features_from_result",
     "CAMERA_FILL_FRACTION",
     "SAMPLES_PER_RAY_BASELINE",
 ]
@@ -260,40 +259,3 @@ def compositing_features_from_result(result) -> "CompositingFeatures":
         pixels=int(result.num_pixels),
         num_tasks=int(result.num_tasks),
     )
-
-
-def contention_features_from_result(result) -> dict[str, float]:
-    """Per-round contention descriptors of a (streamed) composite.
-
-    The cohort engine attaches a compact round summary to its
-    :class:`~repro.compositing.CompositeResult` (``round_summary``); this
-    flattens it into scalars a model or report row can consume:
-
-    * ``rounds`` -- communication rounds on the critical path;
-    * ``busiest_round_seconds`` -- the single worst per-round link occupancy
-      (the term contention adds on top of pure byte counts);
-    * ``network_seconds`` -- the Eq. 5.5 critical path (sum over rounds);
-    * ``contention_share`` -- fraction of the network estimate spent in the
-      busiest round: near ``1/rounds`` for balanced exchanges, approaching 1
-      when one fan-in round (e.g. final assembly) dominates.
-
-    Returns all-zero features for results without a round summary (the dense
-    engines do not record one).
-    """
-    summary = getattr(result, "round_summary", None) or []
-    if not summary:
-        return {
-            "rounds": 0.0,
-            "busiest_round_seconds": 0.0,
-            "network_seconds": float(getattr(result, "network_seconds", 0.0)),
-            "contention_share": 0.0,
-        }
-    per_round = [float(entry["busiest_link_seconds"]) for entry in summary]
-    network = sum(per_round)
-    busiest = max(per_round)
-    return {
-        "rounds": float(len(per_round)),
-        "busiest_round_seconds": busiest,
-        "network_seconds": network,
-        "contention_share": busiest / network if network > 0 else 0.0,
-    }

@@ -232,7 +232,7 @@ class CompositingRecord:
 
         ``avg(AP)`` is threaded through
         :func:`repro.modeling.features.compositing_features_from_result`, so
-        the corpus consumes the run-length engine's mode-aware active-pixel
+        the corpus consumes the cohort engine's mode-aware active-pixel
         accounting unchanged in meaning.
         """
         from repro.modeling.features import compositing_features_from_result
@@ -658,7 +658,7 @@ class StudyHarness:
         Per-rank sub-images are synthesized (a contiguous screen block of
         active pixels per rank whose size follows the Section 5.8 mapping)
         rather than rendered, so that large task counts stay cheap -- the
-        run-length engine keeps even the 64-rank rows fast.  The recorded
+        cohort engine keeps even the 64-rank rows fast.  The recorded
         compositing time combines the simulated-network estimate of the
         exchange (critical path over rounds) with the blending work charged
         at :data:`COMPOSITING_BLEND_BYTES_PER_SECOND`.

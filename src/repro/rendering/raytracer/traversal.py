@@ -126,6 +126,8 @@ def ray_aabb_intersect(
 
     All inputs are broadcast against each other; returns a boolean mask of
     rays whose parametric interval intersects the box within ``[t_min, t_max]``.
+    A zero direction component must have an infinite reciprocal (``1 / 0``),
+    so that a ray lying in a face plane keeps that slab unbounded.
     """
     origins = np.asarray(origins)
     inv_directions = np.asarray(inv_directions)
@@ -149,20 +151,27 @@ def _slab_entry(ox, oy, oz, ix, iy, iz, lx, ly, lz, hx, hy, hz, t_min, t_max):
     entry distance both orders near-first traversal and soundly culls
     subtrees beyond the current closest hit.  Operating on flat component
     arrays avoids axis reductions and strided temporaries in the hot loop.
+
+    A zero direction component carries an infinite reciprocal: its plane
+    distances are ``-inf``/``+inf`` for an origin strictly inside the slab,
+    and ``0 * inf = NaN`` for an origin in a face plane.  The per-axis
+    min/max propagate that NaN and the ``fmax``/``fmin`` folds drop it, so a
+    ray lying in either face plane (or in a zero-thickness slab) leaves that
+    slab unbounded, exactly like a ray strictly inside it.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         t0 = (lx - ox) * ix
         t1 = (hx - ox) * ix
         near = np.minimum(t0, t1)
         far = np.maximum(t0, t1)
         t0 = (ly - oy) * iy
         t1 = (hy - oy) * iy
-        near = np.maximum(near, np.minimum(t0, t1))
-        far = np.minimum(far, np.maximum(t0, t1))
+        near = np.fmax(near, np.minimum(t0, t1))
+        far = np.fmin(far, np.maximum(t0, t1))
         t0 = (lz - oz) * iz
         t1 = (hz - oz) * iz
-        near = np.maximum(near, np.minimum(t0, t1))
-        far = np.minimum(far, np.maximum(t0, t1))
+        near = np.fmax(near, np.minimum(t0, t1))
+        far = np.fmin(far, np.maximum(t0, t1))
     hit = (near <= far) & (far >= t_min) & (near <= t_max)
     return hit, np.maximum(near, t_min)
 
@@ -231,6 +240,12 @@ def _moller_components(
     return hit, t, u, v
 
 
+def _slab_reciprocal(directions: np.ndarray) -> np.ndarray:
+    """:func:`safe_reciprocal` with exact zeros mapped to ``inf``, the
+    reciprocal :func:`_slab_entry` needs to keep face-plane rays."""
+    return np.where(directions == 0.0, np.inf, safe_reciprocal(directions))
+
+
 def _frontier_lanes(kernel, origins, directions, limit_t, dtype) -> FrontierLanes:
     """Build the traversal frontier: a contiguous SoA of the mutable state of
     every ray that enters the root box.
@@ -247,7 +262,7 @@ def _frontier_lanes(kernel, origins, directions, limit_t, dtype) -> FrontierLane
     for axis, component in enumerate("xyz"):
         rays["o" + component] = np.ascontiguousarray(origins[:, axis], dtype=dtype)
         rays["d" + component] = np.ascontiguousarray(directions[:, axis], dtype=dtype)
-        rays["i" + component] = safe_reciprocal(rays["d" + component])
+        rays["i" + component] = _slab_reciprocal(rays["d" + component])
     lane_ids = np.arange(len(origins), dtype=np.int64)
     if not kernel.root_is_leaf:
         root_box = [corner[:1] for corner in kernel.boxes]

@@ -1,7 +1,7 @@
 """Differential and property tests for the run-length compositing data path.
 
 The contract under test mirrors ``render_reference`` from the volume
-renderers: the fast engine (run-length ``RunImage`` sub-images, batched
+renderers: the cohort engine (run-length ``RunImage`` sub-images, batched
 exchanges, dpp-routed merges) must stay within ``atol=1e-10`` of the dense
 per-run reference drivers (``composite_reference``) and of a single serial
 visibility-ordered fold, for every algorithm, both modes, and arbitrary rank
@@ -144,8 +144,9 @@ class TestDifferential:
 
     def test_engine_validation(self, rng):
         framebuffers = _random_framebuffers(rng, 2)
-        with pytest.raises(ValueError):
-            Compositor().composite(framebuffers, mode="depth", engine="warp-drive")
+        for engine in ("warp-drive", "runlength"):
+            with pytest.raises(ValueError):
+                Compositor().composite(framebuffers, mode="depth", engine=engine)
 
 
 class TestProperties:
@@ -366,7 +367,7 @@ class TestAccountingSemantics:
             [fb.copy() for fb in framebuffers], mode="depth", engine="reference"
         )
         assert fast.bytes_exchanged < reference.bytes_exchanged
-        assert fast.engine == "runlength" and reference.engine == "reference"
+        assert fast.engine == "cohort" and reference.engine == "reference"
 
     def test_average_active_pixels_is_mode_aware(self, rng):
         """Over-mode avg(AP) counts alpha-carrying pixels, not the whole plane."""

@@ -1,12 +1,14 @@
 """Thousand-rank streaming compositing: differential and contract tests.
 
-The cohort scheduler (``Compositor.composite_streaming``) is a pure
-reordering of the dense run-length engine's merge operations, so its contract
-splits at the oracle boundary:
+The cohort scheduler is the one compositing engine: ``Compositor.composite``
+runs it with every rank image live (one cohort) and
+``Compositor.composite_streaming`` with a smaller ``max_live_ranks`` budget.
+Each budget is a pure reordering of the same merge operations, so the
+contract splits at the oracle boundary:
 
-* **at or below 256 ranks** the dense engine still fits and the streamed
-  result must be *byte-identical* to ``engine="runlength"`` and within
-  ``1e-10`` of ``composite_reference``;
+* **at or below 256 ranks** the dense oracle still fits: ``composite()`` must
+  be *byte-identical* to a streamed composite of the same images under a
+  small budget, and within ``1e-10`` of ``composite_reference``;
 * **above 256 ranks** no dense oracle exists, so correctness is pinned by
   cohort-size invariance: any two ``max_live_ranks`` budgets must produce
   byte-identical images, identical merge counts, and identical network
@@ -35,9 +37,8 @@ from repro.compositing import (
     scene_factory,
     validate_radices,
 )
-from repro.compositing.runimage import RunImage
+from repro.compositing.runimage import RunImage, run_image_from_framebuffer
 from repro.machines.archspec import get_architecture
-from repro.modeling.features import contention_features_from_result
 from repro.rendering.rays import CameraPath
 from repro.rendering.framebuffer import Framebuffer
 from repro.simulations import create_proxy
@@ -71,17 +72,31 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("tasks", (1, 2, 5, 13, 16, 31))
-    def test_cohort_engine_is_byte_identical_to_runlength(self, rng, algorithm, tasks):
+    def test_composite_is_byte_identical_to_small_budget_stream(self, rng, algorithm, tasks):
+        """The list-backed ``composite()`` equals a 3-image-budget stream of the same images."""
         framebuffers = _random_framebuffers(rng, tasks)
         dense = Compositor(algorithm).composite([fb.copy() for fb in framebuffers], mode="depth")
-        cohort = Compositor(algorithm).composite(
-            [fb.copy() for fb in framebuffers], mode="depth", engine="cohort"
+        images = [
+            run_image_from_framebuffer(framebuffer, "depth", key=position)
+            for position, framebuffer in enumerate(framebuffers)
+        ]
+        streamed = Compositor(algorithm).composite_streaming(
+            images.__getitem__,
+            tasks,
+            framebuffers[0].width,
+            framebuffers[0].height,
+            "depth",
+            max_live_ranks=3,
+            rank_background=tuple(float(v) for v in framebuffers[0].background),
         )
-        assert cohort.framebuffer.rgba.tobytes() == dense.framebuffer.rgba.tobytes()
-        assert cohort.framebuffer.depth.tobytes() == dense.framebuffer.depth.tobytes()
-        assert cohort.merge_operations == dense.merge_operations
-        assert cohort.network_seconds == pytest.approx(dense.network_seconds)
-        assert cohort.engine == "cohort"
+        assert dense.framebuffer.rgba.tobytes() == streamed.framebuffer.rgba.tobytes()
+        assert dense.framebuffer.depth.tobytes() == streamed.framebuffer.depth.tobytes()
+        assert dense.merge_operations == streamed.merge_operations
+        assert dense.bytes_exchanged == streamed.bytes_exchanged
+        assert dense.messages == streamed.messages
+        assert dense.network_seconds == pytest.approx(streamed.network_seconds)
+        assert dense.engine == streamed.engine == "cohort"
+        assert dense.max_live_ranks == tasks and streamed.max_live_ranks == 3
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("tasks", (3, 8, 12))
@@ -157,24 +172,19 @@ class TestCohortInvariance:
         assert small.merge_operations == large.merge_operations
         assert small.network_seconds == pytest.approx(large.network_seconds)
 
-    def test_round_summary_shape(self):
-        result = _stream("binary-swap", "uniform", 300, 16, max_live=64)
-        assert result.round_summary, "streamed composites must carry a round log"
+    @pytest.mark.parametrize("algorithm", (None, *ALGORITHMS))
+    def test_round_summary_shape(self, rng, algorithm):
+        """The 300-rank stream (``None``) and a ``composite()`` per algorithm."""
+        if algorithm is None:
+            result = _stream("binary-swap", "uniform", 300, 16, max_live=64)
+        else:
+            result = Compositor(algorithm).composite(_random_framebuffers(rng, 13), mode="depth")
+        assert result.round_summary, "every composite must carry a round log"
         for entry in result.round_summary:
             assert set(entry) == {"bytes", "messages", "active_links", "busiest_link_seconds"}
             assert entry["busiest_link_seconds"] >= 0.0
         total = sum(entry["busiest_link_seconds"] for entry in result.round_summary)
         assert result.network_seconds == pytest.approx(total)
-
-    def test_contention_features_flatten_the_round_log(self):
-        result = _stream("radix-k", "uniform", 300, 16, max_live=64)
-        features = contention_features_from_result(result)
-        assert features["rounds"] == float(len(result.round_summary))
-        assert features["network_seconds"] == pytest.approx(result.network_seconds)
-        assert 0.0 < features["contention_share"] <= 1.0
-        assert features["busiest_round_seconds"] == pytest.approx(
-            max(entry["busiest_link_seconds"] for entry in result.round_summary)
-        )
 
 
 class TestRadixValidation:

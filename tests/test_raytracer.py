@@ -89,6 +89,19 @@ class TestIntersection:
         )
         assert hit.tolist() == [True, False]
 
+    def test_ray_aabb_face_planes(self):
+        """Rays lying in a low face, a high face, or a zero-thickness slab enter the box."""
+        origins = np.array([[0.5, 0.0, -5.0], [0.5, 1.0, -5.0], [0.5, 1.0 + 1e-9, -5.0]])
+        with np.errstate(divide="ignore"):
+            inv_dirs = 1.0 / np.tile([0.0, 0.0, 1.0], (3, 1))
+        t_min, t_max = np.zeros(3), np.full(3, np.inf)
+        hit = ray_aabb_intersect(origins, inv_dirs, np.zeros(3), np.ones(3), t_min, t_max)
+        assert hit.tolist() == [True, True, False]
+        flat_high = np.array([1.0, 1.0, 1.0])
+        flat_low = np.array([0.0, 1.0, 0.0])
+        hit = ray_aabb_intersect(origins, inv_dirs, flat_low, flat_high, t_min, t_max)
+        assert hit.tolist() == [False, True, False]
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_bvh_matches_brute_force(self, small_surface, small_camera, seed):

@@ -227,25 +227,20 @@ def _cull_rays(rng, count: int):
 
 
 def _face_grazing_rays(mesh: TriangleMesh):
-    """Rays through the mesh's lowest vertex on each axis, travelling inside
-    the root box's low face planes: the rays a box test one ulp too tight
-    would lose.
-
-    (A ray lying in a *high* face plane has a zero direction component whose
-    slab interval collapses to ``[-inf, 0]``, so every box test misses it --
-    a limitation of the slab test, not of the root cull.)
+    """Rays through the mesh's lowest and highest vertex on each axis,
+    travelling inside the root box's low and high face planes: the rays a box
+    test one ulp too tight would lose.  On a zero-thickness (planar) axis the
+    two face planes coincide with the mesh plane.
     """
     vertices = mesh.vertices
     origins, directions = [], []
     for axis in range(3):
-        vertex = vertices[vertices[:, axis].argmin()]
-        if np.any(vertex == vertices.max(axis=0)):
-            continue
-        for along in range(3):
-            if along != axis:
-                step = np.eye(3)[along]
-                origins += [vertex - 3.0 * step, vertex + 3.0 * step]
-                directions += [step, -step]
+        for vertex in (vertices[vertices[:, axis].argmin()], vertices[vertices[:, axis].argmax()]):
+            for along in range(3):
+                if along != axis:
+                    step = np.eye(3)[along]
+                    origins += [vertex - 3.0 * step, vertex + 3.0 * step]
+                    directions += [step, -step]
     return np.array(origins), np.array(directions)
 
 
@@ -297,6 +292,21 @@ class TestRootCull:
         assert np.array_equal(fast.triangle, slow.triangle)
         assert np.array_equal(fast.t, slow.t)
         assert any_hit(bvh, mesh, origins, directions).all()
+
+    def test_rays_in_planar_mesh_faces(self, rng):
+        """A zero-thickness root: rays crossing the plane through a face vertex
+        hit, rays lying in the plane are parallel to every triangle and miss."""
+        mesh = _soup(rng, 120, planar=True)
+        bvh = build_bvh(mesh)
+        origins, directions = _face_grazing_rays(mesh)
+        in_plane = directions[:, 2] == 0.0
+        assert in_plane.any() and (origins[in_plane, 2] == 0.5).all()
+        fast = closest_hit(bvh, mesh, origins, directions)
+        slow = brute_force_closest_hit(mesh, origins, directions)
+        assert slow.hit_mask[~in_plane].all() and not slow.hit_mask[in_plane].any()
+        assert np.array_equal(fast.triangle, slow.triangle)
+        assert np.array_equal(fast.t, slow.t)
+        assert np.array_equal(any_hit(bvh, mesh, origins, directions), slow.hit_mask)
 
     @pytest.mark.parametrize("planar", [False, True])
     def test_per_ray_t_max(self, rng, planar):
